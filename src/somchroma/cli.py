@@ -69,7 +69,6 @@ class PipelineConfig:
     marker_map: dict | None = None
     out: str = "."
     seed: int = 0
-    threads: int | None = None
 
     def __post_init__(self):
         method = _METHOD_ALIASES.get(self.method)
@@ -368,8 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help=f"JSON config file (default: ${CONFIG_ENV_VAR})")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker threads (never affects output bytes)")
         return p
 
     def ingest_opts(p):
@@ -462,7 +459,7 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
         "input", "has_header", "label_column", "class_column", "epochs",
         "sigma_initial", "sigma_final", "sigma_candidates", "method",
         "k_neighbors", "repulsion_t", "plane", "swap_axes", "shape",
-        "spacing_fraction", "unit_radius_px", "out", "seed", "threads",
+        "spacing_fraction", "unit_radius_px", "out", "seed",
     ):
         value = getattr(args, key, None)
         if value is not None:

@@ -203,9 +203,11 @@ def write_csv(data: DataMatrix, path) -> None:
 def standardize(data: DataMatrix) -> tuple[DataMatrix, StandardizationParams]:
     """Center every column and scale non-constant columns to unit variance.
 
-    Uses the unbiased (N-1) sample variance. Constant columns are centered,
-    left at scale 1, and recorded with stddev 0; a warning is emitted since
-    they carry no information.
+    Uses the unbiased (N-1) sample variance. A column is constant when its
+    stddev is within the rounding error of its mean, N * eps * max|x|: N
+    copies of 0.1 give a stddev of about 1e-17, not 0. Constant columns map
+    to 0 and are recorded with stddev 0; a warning is emitted since they
+    carry no information.
 
     Raises
     ------
@@ -216,13 +218,15 @@ def standardize(data: DataMatrix) -> tuple[DataMatrix, StandardizationParams]:
         raise ValueError(f"standardize needs at least 2 rows, got {data.n_rows}")
     means = data.values.mean(axis=0)
     stddevs = data.values.std(axis=0, ddof=1)
-    constant = stddevs == 0.0
+    rounding = data.n_rows * np.finfo(float).eps * np.abs(data.values).max(axis=0)
+    constant = stddevs <= rounding
     if np.any(constant):
         names = [data.column_names[i] for i in np.flatnonzero(constant)]
         print(f"warning: constant column(s) left unscaled: {names}", file=sys.stderr)
+    stddevs = np.where(constant, 0.0, stddevs)
     scale = np.where(constant, 1.0, stddevs)
     out = DataMatrix(
-        values=(data.values - means) / scale,
+        values=np.where(constant, 0.0, (data.values - means) / scale),
         column_names=list(data.column_names),
         row_labels=list(data.row_labels) if data.row_labels is not None else None,
         class_labels=list(data.class_labels) if data.class_labels is not None else None,

@@ -4,8 +4,10 @@ Three objectives over pairwise distances are supported: plain metric stress
 (sum of squared distance errors), the Sammon variant that weights each pair by
 its inverse input distance, and a localized variant that restricts attraction
 to a k-nearest-neighbor pair set and adds a repulsion term on all remaining
-pairs. Descent starts from classical (Torgerson) scaling and uses an adaptive
-step: halved whenever a trial increases stress, grown by 1.2x on success.
+pairs. Each method is one objective that gives the stress and its gradient
+from a single pass over the output distances. Descent starts from classical
+(Torgerson) scaling and uses an adaptive step: halved whenever a trial
+increases stress, grown by 1.2x on success.
 
 The raw embedding is post-processed for coloring by rotating it onto its own
 principal axes and min-max scaling each axis to [0, 1].
@@ -95,24 +97,84 @@ def _check_sizes(dx: np.ndarray, y: np.ndarray):
         raise ValueError(f"size mismatch: distances {dx.shape}, embedding {y.shape}")
 
 
-def _upper(m: int):
-    return np.triu_indices(m, k=1)
+def _weighted_grad(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum over h of w[j, h] * (y[j] - y[h]); w's diagonal is zeroed in place."""
+    np.fill_diagonal(w, 0.0)
+    return w.sum(axis=1)[:, None] * y - np.einsum("jh,hk->jk", w, y)
+
+
+def _check_sammon_distances(iu, dx_u: np.ndarray):
+    zero = np.flatnonzero(dx_u == 0.0)
+    if zero.size:
+        j, h = iu[0][zero[0]], iu[1][zero[0]]
+        raise ValueError(
+            f"rows {j} and {h} coincide (zero input distance); "
+            "the inverse-distance weighting is undefined"
+        )
+
+
+def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: float | None = None):
+    """Stress and gradient of `method` over the fixed input distances `dx`.
+
+    Returns `(stress, grad)`: `stress(dy)` and `grad(y, dy)` take the output
+    distances `dy = pairwise_distances(y)` from the caller, so one distance
+    pass serves both. Everything that depends on `dx` alone (pair indices,
+    the Sammon normalizer, the lmds near/far split over neighbor `mask` with
+    repulsion weight `t`) is computed here once.
+    """
+    iu = np.triu_indices(dx.shape[0], k=1)
+    dx_u = dx[iu]
+
+    if method == "metric_mds":
+
+        def stress(dy):
+            return float(np.sum((dx_u - dy[iu]) ** 2))
+
+        def grad(y, dy):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where(dy > 0.0, (dy - dx) / dy, 0.0)
+            return 2.0 * _weighted_grad(w, y)
+
+    elif method == "sammon":
+        _check_sammon_distances(iu, dx_u)
+        c = np.sum(dx_u)
+        positive = dx > 0.0
+
+        def stress(dy):
+            return float(np.sum((dx_u - dy[iu]) ** 2 / dx_u) / c)
+
+        def grad(y, dy):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where((dy > 0.0) & positive, (dy - dx) / (dx * dy), 0.0)
+            return (2.0 / c) * _weighted_grad(w, y)
+
+    else:
+        near = mask[iu]
+        far_u = ~near
+        dx_near = dx_u[near]
+        far = ~mask
+        np.fill_diagonal(far, False)
+
+        def stress(dy):
+            dy_u = dy[iu]
+            attraction = np.sum((dx_near - dy_u[near]) ** 2)
+            repulsion = np.sum(dy_u[far_u])
+            return float(attraction - t * repulsion)
+
+        def grad(y, dy):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = np.where(dy > 0.0, 1.0 / dy, 0.0)
+            w = np.where(mask, 2.0 * (dy - dx) * inv, 0.0) - t * far * inv
+            return _weighted_grad(w, y)
+
+    return stress, grad
 
 
 def mds_stress(dx: np.ndarray, y: np.ndarray) -> float:
     """Sum over unordered pairs of squared (input vs output) distance errors."""
     _check_sizes(dx, y)
-    dy = pairwise_distances(y)
-    iu = _upper(dx.shape[0])
-    return float(np.sum((dx[iu] - dy[iu]) ** 2))
-
-
-def _mds_grad(dx: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dy = pairwise_distances(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(dy > 0.0, (dy - dx) / dy, 0.0)
-    np.fill_diagonal(w, 0.0)
-    return 2.0 * (w.sum(axis=1)[:, None] * y - np.einsum("jh,hk->jk", w, y))
+    stress, _ = _objective("metric_mds", dx)
+    return stress(pairwise_distances(y))
 
 
 def sammon_stress(dx: np.ndarray, y: np.ndarray) -> float:
@@ -122,32 +184,8 @@ def sammon_stress(dx: np.ndarray, y: np.ndarray) -> float:
     cannot be used as a weight); the offending pair is reported.
     """
     _check_sizes(dx, y)
-    _check_sammon_distances(dx)
-    dy = pairwise_distances(y)
-    iu = _upper(dx.shape[0])
-    c = np.sum(dx[iu])
-    return float(np.sum((dx[iu] - dy[iu]) ** 2 / dx[iu]) / c)
-
-
-def _check_sammon_distances(dx: np.ndarray):
-    iu = _upper(dx.shape[0])
-    zero = np.flatnonzero(dx[iu] == 0.0)
-    if zero.size:
-        j, h = iu[0][zero[0]], iu[1][zero[0]]
-        raise ValueError(
-            f"rows {j} and {h} coincide (zero input distance); "
-            "the inverse-distance weighting is undefined"
-        )
-
-
-def _sammon_grad(dx: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dy = pairwise_distances(y)
-    iu = _upper(dx.shape[0])
-    c = np.sum(dx[iu])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where((dy > 0.0) & (dx > 0.0), (dy - dx) / (dx * dy), 0.0)
-    np.fill_diagonal(w, 0.0)
-    return (2.0 / c) * (w.sum(axis=1)[:, None] * y - np.einsum("jh,hk->jk", w, y))
+    stress, _ = _objective("sammon", dx)
+    return stress(pairwise_distances(y))
 
 
 def _neighbor_mask(m: int, neighbors) -> np.ndarray:
@@ -165,28 +203,8 @@ def lmds_stress(dx: np.ndarray, y: np.ndarray, neighbors, t: float) -> float:
     _check_sizes(dx, y)
     if t < 0:
         raise ValueError("repulsion weight t must be nonnegative")
-    mask = _neighbor_mask(dx.shape[0], neighbors)
-    return _lmds_stress_masked(dx, y, mask, t)
-
-
-def _lmds_stress_masked(dx: np.ndarray, y: np.ndarray, mask: np.ndarray, t: float) -> float:
-    dy = pairwise_distances(y)
-    iu = _upper(dx.shape[0])
-    near = mask[iu]
-    attraction = np.sum((dx[iu][near] - dy[iu][near]) ** 2)
-    repulsion = np.sum(dy[iu][~near])
-    return float(attraction - t * repulsion)
-
-
-def _lmds_grad(dx: np.ndarray, y: np.ndarray, mask: np.ndarray, t: float) -> np.ndarray:
-    dy = pairwise_distances(y)
-    far = ~mask
-    np.fill_diagonal(far, False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(dy > 0.0, 1.0 / dy, 0.0)
-    w = np.where(mask, 2.0 * (dy - dx) * inv, 0.0) - t * far * inv
-    np.fill_diagonal(w, 0.0)
-    return w.sum(axis=1)[:, None] * y - np.einsum("jh,hk->jk", w, y)
+    stress, _ = _objective("lmds", dx, _neighbor_mask(dx.shape[0], neighbors), t)
+    return stress(pairwise_distances(y))
 
 
 def knn_pairs(dx: np.ndarray, k: int) -> set[tuple[int, int]]:
@@ -245,12 +263,11 @@ def project(vectors: np.ndarray, config: ProjectionConfig) -> ProjectionResult:
     if m < 2:
         raise ValueError("projection needs at least 2 vectors")
     dx = pairwise_distances(vectors)
-    if config.method == "sammon":
-        _check_sammon_distances(dx)
-
     rng = np.random.default_rng(config.seed)
     y = classical_scaling(dx) + 1e-6 * rng.standard_normal((m, 2))
+    dy = pairwise_distances(y)
 
+    mask = None
     k_used = None
     t_used = None
     if config.method == "lmds":
@@ -262,49 +279,27 @@ def project(vectors: np.ndarray, config: ProjectionConfig) -> ProjectionResult:
         if config.repulsion_t is not None:
             t_used = float(config.repulsion_t)
         else:
-            iu = _upper(m)
-            near = mask[iu]
-            dy0 = pairwise_distances(y)
-            t_used = 0.01 * float(np.sum((dx[iu][near] - dy0[iu][near]) ** 2))
+            # With t = 0 the localized stress is its attraction term alone.
+            attraction, _ = _objective("lmds", dx, mask, 0.0)
+            t_used = 0.01 * attraction(dy)
+    stress, grad = _objective(config.method, dx, mask, t_used)
 
-        def stress(yy):
-            return _lmds_stress_masked(dx, yy, mask, t_used)
-
-        def grad(yy):
-            return _lmds_grad(dx, yy, mask, t_used)
-
-    elif config.method == "sammon":
-
-        def stress(yy):
-            return sammon_stress(dx, yy)
-
-        def grad(yy):
-            return _sammon_grad(dx, yy)
-
-    else:
-
-        def stress(yy):
-            return mds_stress(dx, yy)
-
-        def grad(yy):
-            return _mds_grad(dx, yy)
-
-    iu = _upper(m)
-    step = 0.05 * float(np.mean(dx[iu]))
+    step = 0.05 * float(np.mean(dx[np.triu_indices(m, k=1)]))
     if step == 0.0:
         step = 0.05
 
-    energy = stress(y)
+    energy = stress(dy)
     if not np.isfinite(energy):
         raise ValueError("non-finite stress at iteration 0")
     history = [energy]
     iterations = 0
     for it in range(1, config.max_iterations + 1):
-        g = grad(y)
+        g = grad(y, dy)
         accepted = False
         for _ in range(_MAX_HALVINGS):
             y_try = y - step * g
-            e_try = stress(y_try)
+            dy_try = pairwise_distances(y_try)
+            e_try = stress(dy_try)
             if np.isfinite(e_try) and e_try < energy:
                 accepted = True
                 break
@@ -313,7 +308,7 @@ def project(vectors: np.ndarray, config: ProjectionConfig) -> ProjectionResult:
             break
         iterations = it
         rel = (energy - e_try) / max(abs(energy), 1e-12)
-        y, energy = y_try, e_try
+        y, dy, energy = y_try, dy_try, e_try
         history.append(energy)
         step *= 1.2
         if rel < config.tolerance:

@@ -27,10 +27,8 @@ from somchroma.colorspace import (
 from somchroma.dataset import DataMatrix
 from somchroma.projection import (
     ProjectionConfig,
-    _lmds_grad,
-    _mds_grad,
     _neighbor_mask,
-    _sammon_grad,
+    _objective,
     knn_pairs,
     lmds_stress,
     mds_stress,
@@ -146,10 +144,11 @@ def test_criterion_03_gradient_suite():
         y = rng.standard_normal((10, 2))
         pairs = knn_pairs(dx, 3)
         mask = _neighbor_mask(10, pairs)
+        dy = pairwise_distances(y)
         cases = [
-            (lambda yy: mds_stress(dx, yy), _mds_grad(dx, y)),
-            (lambda yy: sammon_stress(dx, yy), _sammon_grad(dx, y)),
-            (lambda yy: lmds_stress(dx, yy, pairs, 0.1), _lmds_grad(dx, y, mask, 0.1)),
+            (lambda yy: mds_stress(dx, yy), _objective("metric_mds", dx)[1](y, dy)),
+            (lambda yy: sammon_stress(dx, yy), _objective("sammon", dx)[1](y, dy)),
+            (lambda yy: lmds_stress(dx, yy, pairs, 0.1), _objective("lmds", dx, mask, 0.1)[1](y, dy)),
         ]
         for f, analytic in cases:
             fd = fd_gradient(f, y)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import somchroma
 from somchroma import cli
 
 ARTIFACTS = ["standardized.json", "grid.json", "embedding.json", "som.svg", "scatter.svg"]
@@ -149,6 +154,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"gird": "6x7"}))
     assert cli.main(["pipeline", "--config", str(cfg_path)]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_manifest_threads_key_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "manifest.json"
+    cfg_path.write_text(json.dumps({"kind": "manifest", "config": {"threads": None}}))
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == 1
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+
+
+def test_blas_thread_count_leaves_checksums_unchanged(tmp_path, iris_path):
+    src = str(Path(somchroma.__file__).resolve().parents[1])
+    checksums = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "somchroma", "pipeline", "--input", str(iris_path),
+             "--class-column", "species", "--grid", "6x7", "--method", "sammon",
+             "--seed", "0", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        checksums.append(json.loads((out / "manifest.json").read_text())["artifacts"])
+    assert set(checksums[0]) == set(ARTIFACTS)
+    assert checksums[0] == checksums[1]
 
 
 def test_swap_axes_swaps_unit_coords(pipeline_dir, tmp_path):

@@ -73,6 +73,16 @@ def test_standardize_constant_column(capsys):
     assert "constant column" in capsys.readouterr().err
 
 
+def test_standardize_constant_column_with_rounding_noise(capsys):
+    # The mean of 150 copies of 0.1 is off by an ulp, so the std is ~1e-17, not 0.
+    values = np.column_stack([np.full(150, 0.1), np.arange(150.0)])
+    out, params = standardize(DataMatrix(values, ["c", "x"]))
+    assert np.array_equal(out.values[:, 0], np.zeros(150))
+    assert params.stddevs[0] == 0.0
+    assert "constant column(s) left unscaled: ['c']" in capsys.readouterr().err
+    assert params.stddevs[1] > 0.0
+
+
 def test_standardize_rejects_single_row():
     data = DataMatrix(np.array([[1.0, 2.0]]), ["a", "b"])
     with pytest.raises(ValueError, match="at least 2 rows"):

@@ -274,6 +274,22 @@ def test_project_deterministic(method):
     assert a.stress == b.stress
 
 
+@pytest.mark.parametrize("method", ["metric_mds", "sammon", "lmds"])
+def test_project_stress_equals_public_stress_bitwise(method):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((12, 4))
+    result = project(x, ProjectionConfig(method=method, seed=1, max_iterations=50))
+    dx = pairwise_distances(x)
+    if method == "metric_mds":
+        expected = mds_stress(dx, result.points)
+    elif method == "sammon":
+        expected = sammon_stress(dx, result.points)
+    else:
+        pairs = knn_pairs(dx, result.k_neighbors)
+        expected = lmds_stress(dx, result.points, pairs, result.repulsion_t)
+    assert result.stress == expected
+
+
 def test_project_rejects_coincident_rows_for_sammon():
     x = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="coincide"):
