@@ -22,6 +22,7 @@ import numpy as np
 from . import colorspace, projection, render, som
 from .colorspace import ColorPlane, RgbColor
 from .dataset import DataMatrix, load_csv, standardize
+from .envelope import SCHEMA_VERSION, check_envelope, envelope, finite_matrix
 
 __all__ = ["PipelineConfig", "cmd_pipeline", "main"]
 
@@ -87,9 +88,7 @@ class PipelineConfig:
         return cls(**{k: v for k, v in payload.items() if k in known})
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["schema_version"] = 1
-        return payload
+        return {**asdict(self), "schema_version": SCHEMA_VERSION}
 
 
 def canonical_json(payload: dict) -> str:
@@ -97,27 +96,27 @@ def canonical_json(payload: dict) -> str:
 
 
 def _write_artifact(path: Path, content: str) -> str:
+    """Write atomically: readers see the old file or the new one, never a part."""
     path.parent.mkdir(parents=True, exist_ok=True)
     data = content.encode("utf-8")
-    path.write_bytes(data)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_payload(path, kind: str) -> dict:
+def _load_payload(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != kind or payload.get("schema_version") != 1:
-        raise ValueError(
-            f"{path}: schema version mismatch, expected {kind} v1, got "
-            f"kind={payload.get('kind')!r} schema_version={payload.get('schema_version')!r}"
-        )
-    return payload
+        return json.load(fh)
 
 
 def _write_manifest(path: Path, cfg: PipelineConfig, checksums: dict[str, str]) -> None:
     payload = {
-        "schema_version": 1,
-        "kind": "manifest",
+        **envelope("manifest"),
         "config": cfg.to_dict(),
         "seed": cfg.seed,
         "artifacts": checksums,
@@ -152,8 +151,7 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
     )
     std, params = standardize(data)
     return {
-        "schema_version": 1,
-        "kind": "standardized_data",
+        **envelope("standardized_data"),
         "column_names": list(std.column_names),
         "row_labels": std.row_labels,
         "class_labels": std.class_labels,
@@ -164,11 +162,7 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
 
 
 def _data_from_payload(payload: dict) -> DataMatrix:
-    if payload.get("kind") != "standardized_data" or payload.get("schema_version") != 1:
-        raise ValueError(
-            "schema version mismatch: expected standardized_data v1, got "
-            f"kind={payload.get('kind')!r} schema_version={payload.get('schema_version')!r}"
-        )
+    check_envelope(payload, "standardized_data")
     return DataMatrix(
         values=np.asarray(payload["values"], dtype=float),
         column_names=list(payload["column_names"]),
@@ -228,14 +222,24 @@ def stage_color(embedding_payload: dict, cfg: PipelineConfig) -> dict:
         coords = coords[:, ::-1]
     colors = colorspace.colorize(coords, plane)
     return {
-        "schema_version": 1,
-        "kind": "unit_colors",
+        **envelope("unit_colors"),
         "plane": colorspace.plane_to_dict(plane),
         "swap_axes": bool(cfg.swap_axes),
         "unit_coords": [[float(u), float(v)] for u, v in coords],
         "rgb": [[c.r, c.g, c.b] for c in colors],
         "hex": [colorspace.rgb_to_hex(c) for c in colors],
     }
+
+
+def _colors_from_payload(payload: dict) -> list[RgbColor]:
+    check_envelope(payload, "unit_colors")
+    rgb = finite_matrix(payload, "unit_colors", "rgb", 3)
+    bad = np.flatnonzero(((rgb < 0.0) | (rgb > 1.0)).any(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"unit_colors.rgb channels must lie in [0, 1]; unit {bad[0]} is {rgb[bad[0]].tolist()}"
+        )
+    return [RgbColor(*c) for c in rgb.tolist()]
 
 
 def stage_render(
@@ -245,15 +249,12 @@ def stage_render(
     colors_payload: dict,
     cfg: PipelineConfig,
 ) -> tuple[str, str]:
-    if colors_payload.get("kind") != "unit_colors" or colors_payload.get("schema_version") != 1:
-        raise ValueError(
-            "schema version mismatch: expected unit_colors v1, got "
-            f"kind={colors_payload.get('kind')!r} "
-            f"schema_version={colors_payload.get('schema_version')!r}"
-        )
     grid, _ = som.grid_from_dict(grid_payload)
     points = projection.embedding_from_dict(embedding_payload)
-    colors = [RgbColor(*c) for c in colors_payload["rgb"]]
+    colors = _colors_from_payload(colors_payload)
+    for field, count in (("embedding.points", len(points)), ("unit_colors.rgb", len(colors))):
+        if count != grid.m:
+            raise ValueError(f"{field} has {count} entries for a grid of {grid.m} units")
     data = _data_from_payload(std_payload)
 
     overlay = render.Overlay()
@@ -292,6 +293,9 @@ def cmd_pipeline(cfg: PipelineConfig) -> dict:
         print(f"wrote {out_dir / name}", file=sys.stderr)
 
     std_payload = _run("ingest", stage_ingest, cfg)
+    # From here on the old artifacts get replaced, so the old manifest no
+    # longer vouches for them; a failed run must leave none behind.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     emit("standardized.json", canonical_json(std_payload))
     grid_payload = _run("train", stage_train, std_payload, cfg)
     emit("grid.json", canonical_json(grid_payload))
@@ -327,12 +331,13 @@ def _stage_manifest_path(out_path: Path) -> Path:
 
 
 def _finish_stage(cfg: PipelineConfig, outputs: dict[Path, str]) -> None:
+    manifest = _stage_manifest_path(next(iter(outputs)))
+    manifest.unlink(missing_ok=True)  # see cmd_pipeline
     checksums = {}
     for path, content in outputs.items():
         checksums[str(path.name)] = _write_artifact(path, content)
         print(f"wrote {path}", file=sys.stderr)
-    first = next(iter(outputs))
-    _write_manifest(_stage_manifest_path(first), cfg, checksums)
+    _write_manifest(manifest, cfg, checksums)
 
 
 # ----------------------------------------------------------------------------
@@ -452,18 +457,14 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
             payload = json.load(fh)
     cfg = PipelineConfig.from_dict(payload)
 
-    overrides = {}
+    # every flag whose dest is a config field overrides it; --grid sets two
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(PipelineConfig)
+        if getattr(args, f.name, None) is not None
+    }
     if getattr(args, "grid", None) is not None:
         overrides["rows"], overrides["cols"] = _parse_grid(args.grid)
-    for key in (
-        "input", "has_header", "label_column", "class_column", "epochs",
-        "sigma_initial", "sigma_final", "sigma_candidates", "method",
-        "k_neighbors", "repulsion_t", "plane", "swap_axes", "shape",
-        "spacing_fraction", "unit_radius_px", "out", "seed",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -485,31 +486,31 @@ def main(argv=None) -> int:
             return 0
 
         if command == "train":
-            std_payload = _load_payload(args.in_path, "standardized_data")
+            std_payload = _load_payload(args.in_path)
             payload = _run("train", stage_train, std_payload, cfg)
             out = Path(getattr(args, "out", None) or "grid.json")
             _finish_stage(cfg, {out: canonical_json(payload)})
             return 0
 
         if command == "project":
-            grid_payload = _load_payload(args.in_path, "som_grid")
+            grid_payload = _load_payload(args.in_path)
             payload = _run("project", stage_project, grid_payload, cfg)
             out = Path(getattr(args, "out", None) or "embedding.json")
             _finish_stage(cfg, {out: canonical_json(payload)})
             return 0
 
         if command == "color":
-            embedding_payload = _load_payload(args.in_path, "embedding")
+            embedding_payload = _load_payload(args.in_path)
             payload = _run("color", stage_color, embedding_payload, cfg)
             out = Path(getattr(args, "out", None) or "colors.json")
             _finish_stage(cfg, {out: canonical_json(payload)})
             return 0
 
         if command == "render":
-            std_payload = _load_payload(args.in_data, "standardized_data")
-            grid_payload = _load_payload(args.in_grid, "som_grid")
-            embedding_payload = _load_payload(args.in_embedding, "embedding")
-            colors_payload = _load_payload(args.in_colors, "unit_colors")
+            std_payload = _load_payload(args.in_data)
+            grid_payload = _load_payload(args.in_grid)
+            embedding_payload = _load_payload(args.in_embedding)
+            colors_payload = _load_payload(args.in_colors)
             som_svg, scatter_svg = _run(
                 "render", stage_render,
                 std_payload, grid_payload, embedding_payload, colors_payload, cfg,

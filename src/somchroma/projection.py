@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envelope import check_envelope, envelope, finite_matrix
+
 __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
@@ -373,8 +375,7 @@ def normalize_components(y: np.ndarray) -> np.ndarray:
 def embedding_to_dict(result: ProjectionResult, config: ProjectionConfig) -> dict:
     """JSON-ready embedding payload with a config echo."""
     return {
-        "schema_version": 1,
-        "kind": "embedding",
+        **envelope("embedding"),
         "method": result.method,
         "config": {
             "k_neighbors": result.k_neighbors,
@@ -390,10 +391,6 @@ def embedding_to_dict(result: ProjectionResult, config: ProjectionConfig) -> dic
 
 
 def embedding_from_dict(payload: dict) -> np.ndarray:
-    """Points array from an embedding payload; validates the schema envelope."""
-    if payload.get("kind") != "embedding" or payload.get("schema_version") != 1:
-        raise ValueError(
-            "schema version mismatch: expected embedding v1, got "
-            f"kind={payload.get('kind')!r} schema_version={payload.get('schema_version')!r}"
-        )
-    return np.asarray(payload["points"], dtype=float)
+    """Points from an embedding payload; checks the envelope and a finite Mx2 shape."""
+    check_envelope(payload, "embedding")
+    return finite_matrix(payload, "embedding", "points", 2)

@@ -18,6 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .dataset import DataMatrix
+from .envelope import check_envelope, envelope
 
 __all__ = [
     "DEFAULT_SIGMA_CANDIDATES",
@@ -393,8 +394,7 @@ def select_sigma(
 def grid_to_dict(grid: SomGrid, training_metadata: dict) -> dict:
     """JSON-ready grid payload (positions are implied by rows/cols)."""
     return {
-        "schema_version": 1,
-        "kind": "som_grid",
+        **envelope("som_grid"),
         "rows": grid.rows,
         "cols": grid.cols,
         "dim": grid.dim,
@@ -405,11 +405,7 @@ def grid_to_dict(grid: SomGrid, training_metadata: dict) -> dict:
 
 def grid_from_dict(payload: dict) -> tuple[SomGrid, dict]:
     """Inverse of grid_to_dict; validates the schema envelope."""
-    if payload.get("kind") != "som_grid" or payload.get("schema_version") != 1:
-        raise ValueError(
-            "schema version mismatch: expected som_grid v1, got "
-            f"kind={payload.get('kind')!r} schema_version={payload.get('schema_version')!r}"
-        )
+    check_envelope(payload, "som_grid")
     rows, cols = int(payload["rows"]), int(payload["cols"])
     vectors = np.asarray(payload["reference_vectors"], dtype=float)
     grid = SomGrid(rows, cols, hex_positions(rows, cols), vectors)

@@ -98,14 +98,102 @@ def test_unknown_plane_lists_builtins(tmp_path, iris_path, capsys):
     assert "green-yellow-red" in err and "cyan-gray-red" in err
 
 
-def test_schema_mismatch_reported(pipeline_dir, tmp_path, capsys):
-    payload = json.loads((pipeline_dir / "standardized.json").read_text())
-    payload["schema_version"] = 99
-    bad = tmp_path / "bad.json"
+@pytest.fixture(scope="module")
+def stage_inputs(pipeline_dir, tmp_path_factory):
+    """The pipeline's stage-input artifacts plus the colors.json its color stage gives."""
+    colors = tmp_path_factory.mktemp("colors") / "colors.json"
+    assert cli.main(["color", "--in", str(pipeline_dir / "embedding.json"),
+                     "--plane", "cyan-gray-red", "--out", str(colors)]) == 0
+    names = ("standardized.json", "grid.json", "embedding.json")
+    return {**{name: pipeline_dir / name for name in names}, "colors.json": colors}
+
+
+def stage_argv(command, inputs, out_dir):
+    return {
+        "train": ["train", "--in", str(inputs["standardized.json"]), "--grid", "4x4",
+                  "--out", str(out_dir / "g.json")],
+        "project": ["project", "--in", str(inputs["grid.json"]), "--out", str(out_dir / "e.json")],
+        "color": ["color", "--in", str(inputs["embedding.json"]), "--out", str(out_dir / "c.json")],
+        "render": ["render", "--in-data", str(inputs["standardized.json"]),
+                   "--in-grid", str(inputs["grid.json"]),
+                   "--in-embedding", str(inputs["embedding.json"]),
+                   "--in-colors", str(inputs["colors.json"]),
+                   "--out-som", str(out_dir / "som.svg"),
+                   "--out-scatter", str(out_dir / "scatter.svg")],
+    }[command]
+
+
+def edited_inputs(inputs, name, edit, tmp_path):
+    """`inputs` with artifact `name` replaced by a copy that `edit` changed in place."""
+    payload = json.loads(inputs[name].read_text())
+    edit(payload)
+    bad = tmp_path / f"bad-{name}"
     bad.write_text(json.dumps(payload))
-    code = cli.main(["train", "--in", str(bad), "--grid", "4x4", "--out", str(tmp_path / "g.json")])
-    assert code == 1
-    assert "schema version mismatch" in capsys.readouterr().err
+    return {**inputs, name: bad}
+
+
+@pytest.mark.parametrize("command, name, key, value", [
+    ("train", "standardized.json", "schema_version", 99),
+    ("project", "grid.json", "schema_version", 99),
+    ("color", "embedding.json", "schema_version", 99),
+    ("render", "colors.json", "schema_version", 99),
+    ("render", "colors.json", "kind", "embedding"),
+], ids=["train", "project", "color", "render", "render-wrong-kind"])
+def test_schema_mismatch_reported(stage_inputs, tmp_path, capsys, command, name, key, value):
+    inputs = edited_inputs(stage_inputs, name, lambda p: p.update({key: value}), tmp_path)
+    assert cli.main(stage_argv(command, inputs, tmp_path)) == 1
+    assert f"error in stage {command}: schema version mismatch" in capsys.readouterr().err
+
+
+def _set_first_rgb(value):
+    def edit(payload):
+        payload["rgb"][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("colors.json", _set_first_rgb([-0.1, 0.5, 1.7]),
+     "unit_colors.rgb channels must lie in [0, 1]; unit 0 is [-0.1, 0.5, 1.7]"),
+    ("colors.json", _set_first_rgb([0.5, float("nan"), 0.5]), "unit_colors.rgb must be finite"),
+    ("colors.json", _set_first_rgb([0.5, 0.5]), "unit_colors.rgb must be an Mx3 array"),
+    ("colors.json", lambda p: p["rgb"].pop(),
+     "unit_colors.rgb has 15 entries for a grid of 16 units"),
+    ("embedding.json", lambda p: p["points"].pop(),
+     "embedding.points has 15 entries for a grid of 16 units"),
+], ids=["out-of-range", "nan", "not-mx3", "too-few-colors", "too-few-points"])
+def test_render_rejects_malformed_inputs(stage_inputs, tmp_path, capsys, name, edit, message):
+    inputs = edited_inputs(stage_inputs, name, edit, tmp_path)
+    assert cli.main(stage_argv("render", inputs, tmp_path)) == 1
+    assert f"error in stage render: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "som.svg").exists()
+
+
+def test_failed_run_leaves_no_stale_manifest(tmp_path, iris_path, capsys):
+    args = base_args(iris_path, tmp_path)
+    assert cli.main(args) == 0
+    args[args.index("--grid") + 1] = "5x5"
+    args[args.index("--plane") + 1] = "nope"
+    assert cli.main(args) == 1
+    assert "error in stage color" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_failed_write_keeps_old_artifact_and_drops_stage_manifest(pipeline_dir, tmp_path,
+                                                                  monkeypatch, capsys):
+    out = tmp_path / "colors.json"
+    argv = ["color", "--in", str(pipeline_dir / "embedding.json"), "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = out.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert cli.main(argv + ["--swap-axes"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["colors.json"]
 
 
 def test_missing_input_artifact(tmp_path, capsys):

@@ -358,3 +358,8 @@ def test_grid_dict_roundtrip(iris_std):
 def test_grid_from_dict_rejects_wrong_schema():
     with pytest.raises(ValueError, match="schema version mismatch"):
         grid_from_dict({"kind": "som_grid", "schema_version": 2})
+
+
+def test_grid_from_dict_rejects_a_json_array():
+    with pytest.raises(ValueError, match="got kind=None schema_version=None"):
+        grid_from_dict([])
