@@ -22,7 +22,7 @@ import numpy as np
 from . import colorspace, projection, render, som
 from .colorspace import ColorPlane, RgbColor
 from .dataset import DataMatrix, load_csv, standardize
-from .envelope import SCHEMA_VERSION, check_envelope, envelope, finite_matrix
+from .envelope import SCHEMA_VERSION, check_envelope, envelope, field, finite_matrix
 
 __all__ = ["PipelineConfig", "cmd_pipeline", "main"]
 
@@ -163,9 +163,10 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
 
 def _data_from_payload(payload: dict) -> DataMatrix:
     check_envelope(payload, "standardized_data")
+    names = list(field(payload, "standardized_data", "column_names"))
     return DataMatrix(
-        values=np.asarray(payload["values"], dtype=float),
-        column_names=list(payload["column_names"]),
+        values=finite_matrix(payload, "standardized_data", "values", len(names)),
+        column_names=names,
         row_labels=payload.get("row_labels"),
         class_labels=payload.get("class_labels"),
     )

@@ -2,7 +2,7 @@
 
 Writers start each payload from ``envelope(kind)``; the one decoder of each
 artifact kind calls ``check_envelope`` before it reads any other field, and
-reads array fields with ``finite_matrix``.
+reads its fields with ``field`` and its array fields with ``finite_matrix``.
 """
 
 import numpy as np
@@ -24,16 +24,22 @@ def check_envelope(payload: dict, kind: str) -> None:
         )
 
 
-def finite_matrix(payload: dict, kind: str, field: str, width: int) -> np.ndarray:
-    """``payload[field]`` as a finite M x ``width`` float array.
+def field(payload: dict, kind: str, key: str):
+    """``payload[key]``; a missing key raises a ValueError naming ``<kind>.<key>``."""
+    if key not in payload:
+        raise ValueError(f"{kind}.{key} is missing")
+    return payload[key]
 
-    Errors name the field as ``<kind>.<field>``.
+
+def finite_matrix(payload: dict, kind: str, key: str, width: int) -> np.ndarray:
+    """``payload[key]`` as a finite M x ``width`` float array.
+
+    Errors name the field as ``<kind>.<key>``.
     """
-    name = f"{kind}.{field}"
-    if field not in payload:
-        raise ValueError(f"{name} is missing")
+    name = f"{kind}.{key}"
+    raw = field(payload, kind, key)
     try:
-        values = np.asarray(payload[field], dtype=float)
+        values = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an Mx{width} array of numbers") from None
     if values.ndim != 2 or values.shape[1] != width:

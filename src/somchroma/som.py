@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .dataset import DataMatrix
-from .envelope import check_envelope, envelope
+from .envelope import check_envelope, envelope, field, finite_matrix
 
 __all__ = [
     "DEFAULT_SIGMA_CANDIDATES",
@@ -210,17 +210,12 @@ def init_grid(rows: int, cols: int, data: DataMatrix, seed: int = 0) -> SomGrid:
     return SomGrid(rows, cols, hex_positions(rows, cols), vectors)
 
 
-def _unit_distances(x: np.ndarray, grid: SomGrid) -> np.ndarray:
-    diff = grid.reference_vectors - x[None, :]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 def bmu(x: np.ndarray, grid: SomGrid) -> int:
     """Index of the nearest reference vector; ties go to the lowest index."""
     x = np.asarray(x, dtype=float)
     if x.shape != (grid.dim,):
         raise ValueError(f"vector of dimension {x.shape} against grid of dim {grid.dim}")
-    return int(np.argmin(_unit_distances(x, grid)))
+    return int(bmu_indices(x[None, :], grid)[0])
 
 
 def bmu_indices(values: np.ndarray, grid: SomGrid) -> np.ndarray:
@@ -230,9 +225,68 @@ def bmu_indices(values: np.ndarray, grid: SomGrid) -> np.ndarray:
         raise ValueError(
             f"data of dimension {values.shape[1]} against grid of dim {grid.dim}"
         )
-    diff = values[:, None, :] - grid.reference_vectors[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    return np.argmin(sq, axis=1)
+    return _nearest(values, grid.reference_vectors, 1)[0][:, 0]
+
+
+# Rows x units searched at once: the GEMM block and its copies, not N x M x n,
+# bound the memory of a nearest-unit search.
+_BLOCK_PAIRS = 1 << 19
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
+def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
+    """Each row's k nearest units, nearest first, with exact squared distances.
+
+    Returns (indices, squared), both N x k. Units are ordered by
+    rank(squared) (by default the squared distance itself) and then by index,
+    so ties go to the lowest index. squared[i, j] is the same float as
+    einsum("ijk,ijk->ij") over all N x M differences would give, so the
+    choice is too; only the candidates are computed that way.
+    """
+    n = values.shape[1]
+    x2 = np.einsum("ij,ij->i", values, values)
+    w2 = np.einsum("ij,ij->i", vectors, vectors)
+    # Rounding bound. With u = 2**-53, g_m = m u / (1 - m u), D = |x - w|^2
+    # and S = |x| + max|w| (`reach`), any summation order, FMA use or thread split
+    # gives (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+    #   the GEMM form  s = |x|^2 + |w|^2 - 2 x.w:  |s - D| <= g_{n+2} S^2,
+    #   the einsum     d = sum_k (x_k - w_k)^2:     |d - D| <= g_{n+2} D <= g_{n+2} S^2,
+    # so |s - d| <= e = 2 g_{n+2} S^2. Let t be the row's k-th smallest s and
+    # v its k-th smallest d. The k units with s <= t have d <= t + e, so
+    # v <= t + e. A unit among the top k has rank(d) <= rank(v); for sqrt,
+    # which can round two squared distances to one value, that gives
+    # d <= v (1 + 5u). Hence its s <= d + e <= t + 2e + 5u (t + e), and
+    # `margin` exceeds that twice over to first order in n u, which covers
+    # the rounding of S, of the margin and of t + margin. Its subnormal term
+    # covers products that underflow. This assumes a conventional GEMM (each
+    # entry a sum of n products), not a Strassen-like one.
+    reach = np.sqrt(x2) + np.sqrt(w2.max())
+    margin = 8 * (n + 4) * (_UNIT_ROUNDOFF * reach * reach + _SMALLEST_SUBNORMAL)
+    indices = np.empty((values.shape[0], k), dtype=np.intp)
+    squared = np.empty((values.shape[0], k))
+    step = max(1, _BLOCK_PAIRS // vectors.shape[0])
+    for lo in range(0, values.shape[0], step):
+        rows = slice(lo, lo + step)
+        x = values[rows]
+        s = x @ vectors.T
+        s *= -2.0
+        s += x2[rows, None]
+        s += w2
+        kth = s.min(axis=1) if k == 1 else np.partition(s, k - 1, axis=1)[:, k - 1]
+        limit = kth + margin[rows]
+        keep = s <= limit[:, None]
+        # a row whose s or margin overflowed keeps every unit
+        keep[~(np.isfinite(limit) & np.isfinite(s).all(axis=1))] = True
+        r, c = np.divmod(np.flatnonzero(keep), vectors.shape[0])
+        diff = x[r] - vectors[c]
+        d = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((c, d if rank is None else rank(d), r))
+        counts = np.bincount(r, minlength=x.shape[0])
+        first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        indices[rows] = c[first]
+        squared[rows] = d[first]
+    return indices, squared
 
 
 def _group_sums(values: np.ndarray, bmus: np.ndarray, m: int):
@@ -241,32 +295,32 @@ def _group_sums(values: np.ndarray, bmus: np.ndarray, m: int):
     math.fsum gives the exactly rounded sum, so the result does not depend on
     row order and batch_epoch stays bit-identical under data permutations.
     """
-    n = values.shape[1]
-    sums = np.zeros((m, n))
-    counts = np.zeros(m, dtype=np.int64)
-    for u in range(m):
-        rows = np.flatnonzero(bmus == u)
-        if rows.size == 0:
-            continue
-        counts[u] = rows.size
-        block = values[rows]
-        for k in range(n):
-            sums[u, k] = math.fsum(block[:, k])
+    counts = np.bincount(bmus, minlength=m)
+    stops = np.cumsum(counts)
+    columns = values[np.argsort(bmus, kind="stable")].T.tolist()
+    sums = np.zeros((m, values.shape[1]))
+    for u in np.flatnonzero(counts):
+        start = stops[u] - counts[u]
+        sums[u] = [math.fsum(col[start:stops[u]]) for col in columns]
     return sums, counts
 
 
-def batch_epoch(grid: SomGrid, data: DataMatrix, sigma: float) -> SomGrid:
+def batch_epoch(
+    grid: SomGrid, data: DataMatrix, sigma: float, bmus: np.ndarray | None = None
+) -> SomGrid:
     """One batch update: every unit moves to the kernel-weighted data average.
 
     New vector m_i = sum_j h(c(j), i) x_j / sum_j h(c(j), i) with
     h(c, i) = exp(-||p_c - p_i||^2 / (2 sigma^2)) over planar unit positions.
     Units receiving zero total weight (all kernel values underflow) keep
-    their previous vector.
+    their previous vector. `bmus`, when given, must be
+    bmu_indices(data.values, grid); passing it saves that search.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     m = grid.m
-    bmus = bmu_indices(data.values, grid)
+    if bmus is None:
+        bmus = bmu_indices(data.values, grid)
     sums, counts = _group_sums(data.values, bmus, m)
 
     pos = grid.unit_positions
@@ -303,18 +357,24 @@ def train(data: DataMatrix, rows: int, cols: int, config: TrainConfig) -> TrainR
     si, sf = config.resolved_sigmas(rows, cols)
     sigmas = sigma_schedule(si, sf, config.epochs)
     grid = init_grid(rows, cols, data, config.seed)
+    bmus = bmu_indices(data.values, grid)
     errors = []
     for sigma in sigmas:
-        grid = batch_epoch(grid, data, sigma)
-        errors.append(quantization_error(grid, data))
+        grid = batch_epoch(grid, data, sigma, bmus)
+        # one search per grid: this grid's error and the next epoch's update
+        bmus = bmu_indices(data.values, grid)
+        errors.append(_mean_bmu_distance(data.values, grid, bmus))
     return TrainResult(grid, sigmas, tuple(errors), config.seed)
+
+
+def _mean_bmu_distance(values: np.ndarray, grid: SomGrid, bmus: np.ndarray) -> float:
+    diff = values - grid.reference_vectors[bmus]
+    return float(np.mean(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
 
 
 def quantization_error(grid: SomGrid, data: DataMatrix) -> float:
     """Mean distance from each data point to its best-matching unit."""
-    bmus = bmu_indices(data.values, grid)
-    diff = data.values - grid.reference_vectors[bmus]
-    return float(np.mean(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
+    return _mean_bmu_distance(data.values, grid, bmu_indices(data.values, grid))
 
 
 def _adjacency_pairs(grid: SomGrid) -> np.ndarray:
@@ -326,8 +386,8 @@ def _adjacency_pairs(grid: SomGrid) -> np.ndarray:
     return np.column_stack([i[keep], j[keep]])
 
 
-def _reference_path_lengths(grid: SomGrid) -> np.ndarray:
-    """All-pairs shortest paths over the hex adjacency graph.
+def _reference_path_lengths(grid: SomGrid, sources: np.ndarray) -> np.ndarray:
+    """Shortest paths from each unit in `sources` over the hex adjacency graph.
 
     Edge weights are input-space distances between adjacent units' reference
     vectors; computed exactly with Dijkstra.
@@ -341,7 +401,7 @@ def _reference_path_lengths(grid: SomGrid) -> np.ndarray:
           np.concatenate([pairs[:, 1], pairs[:, 0]]))),
         shape=(grid.m, grid.m),
     )
-    return dijkstra(graph, directed=False)
+    return dijkstra(graph, directed=False, indices=sources)
 
 
 def goodness(grid: SomGrid, data: DataMatrix) -> float:
@@ -354,16 +414,13 @@ def goodness(grid: SomGrid, data: DataMatrix) -> float:
     """
     if grid.m < 2:
         raise ValueError("goodness needs at least 2 units (second-best undefined)")
-    values = data.values
-    diff = values[:, None, :] - grid.reference_vectors[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    order = np.argsort(dist, axis=1, kind="stable")  # ties resolved to lower index
-    best = order[:, 0]
-    second = order[:, 1]
-    second_dist = dist[np.arange(values.shape[0]), second]
-    paths = _reference_path_lengths(grid)
-    path_dist = paths[best, second]
-    return float(np.mean(second_dist + path_dist))
+    # ranked by distance, not its square, with ties to the lower index
+    nearest, squared = _nearest(data.values, grid.reference_vectors, 2, np.sqrt)
+    best, second = nearest.T
+    sources = np.unique(best)
+    paths = _reference_path_lengths(grid, sources)
+    path_dist = paths[np.searchsorted(sources, best), second]
+    return float(np.mean(np.sqrt(squared[:, 1]) + path_dist))
 
 
 def select_sigma(
@@ -406,9 +463,7 @@ def grid_to_dict(grid: SomGrid, training_metadata: dict) -> dict:
 def grid_from_dict(payload: dict) -> tuple[SomGrid, dict]:
     """Inverse of grid_to_dict; validates the schema envelope."""
     check_envelope(payload, "som_grid")
-    rows, cols = int(payload["rows"]), int(payload["cols"])
-    vectors = np.asarray(payload["reference_vectors"], dtype=float)
+    rows, cols, dim = (int(field(payload, "som_grid", k)) for k in ("rows", "cols", "dim"))
+    vectors = finite_matrix(payload, "som_grid", "reference_vectors", dim)
     grid = SomGrid(rows, cols, hex_positions(rows, cols), vectors)
-    if grid.dim != int(payload["dim"]):
-        raise ValueError(f"dim field {payload['dim']} does not match vectors {grid.dim}")
     return grid, dict(payload.get("training_metadata", {}))

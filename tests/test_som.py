@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from somchroma import som
 from somchroma.dataset import DataMatrix
 from somchroma.som import (
     SomGrid,
@@ -301,6 +304,155 @@ def test_goodness_bounded_below_by_second_distance():
     dist = np.sqrt((diff ** 2).sum(-1))
     second = np.sort(dist, axis=1)[:, 1]
     assert goodness(grid, data) >= second.mean() - 1e-12
+
+
+# ----------------------------------------------------------------------------
+# exact blocked nearest-unit search against the full N x M x n oracle
+
+def brute_force_squared(values, vectors):
+    """Oracle: the full N x M x n difference tensor the blocked search replaces."""
+    diff = values[:, None, :] - vectors[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def brute_force_search_goodness(grid, data):
+    """Oracle: goodness from the full distance matrix, a stable argsort and all-pairs paths."""
+    dist = np.sqrt(brute_force_squared(data.values, grid.reference_vectors))
+    order = np.argsort(dist, axis=1, kind="stable")
+    best, second = order[:, 0], order[:, 1]
+    paths = som._reference_path_lengths(grid, None)
+    return float(np.mean(dist[np.arange(data.n_rows), second] + paths[best, second]))
+
+
+def _on_grid(values, vectors, cols):
+    rows = len(vectors) // cols
+    return values, SomGrid(rows, cols, hex_positions(rows, cols), vectors)
+
+
+def _duplicated_units(rng):
+    vectors = rng.standard_normal((20, 5))
+    vectors[[3, 9, 17]] = vectors[11]
+    return _on_grid(rng.standard_normal((150, 5)), vectors, 5)
+
+
+def _rows_on_units(rng):
+    vectors = rng.standard_normal((30, 6))
+    values = np.vstack([vectors, vectors[::-1], rng.standard_normal((40, 6))])
+    return _on_grid(values, vectors, 6)
+
+
+def _half_integer_ties(rng):
+    # integer units, half-integer rows: many rows lie exactly midway between units
+    vectors = rng.integers(-2, 3, size=(24, 3)).astype(float)
+    values = rng.integers(-5, 6, size=(300, 3)) / 2.0
+    return _on_grid(values, vectors, 6)
+
+
+def _mean_offset(rng):
+    # |x|^2 ~ 1e9 cancels in the GEMM form; units 0 and 1 differ far below its error
+    vectors = 1e4 + rng.standard_normal((30, 8))
+    vectors[1] = vectors[0] + 1e-9
+    return _on_grid(1e4 + rng.standard_normal((200, 8)), vectors, 6)
+
+
+def _scaled(scale):
+    def make(rng):
+        vectors = rng.standard_normal((35, 7)) * scale
+        vectors[1] = vectors[0] * (1.0 + 1e-15)
+        return _on_grid(rng.standard_normal((200, 7)) * scale, vectors, 5)
+    return make
+
+
+def _sqrt_rounding_tie(rng):
+    # squared distances 1 + 2**-52, 1, 1 all have sqrt 1.0: unit 0 is third by
+    # squared distance but first by distance, so goodness must still see it
+    vectors = np.array([[1.0, 2.0**-26], [-1.0, 0.0], [0.0, 1.0]])
+    return _on_grid(np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.5]]), vectors, 3)
+
+
+def _overflow(rng):
+    # |x|^2 overflows, so the GEMM form is inf or nan; the nearest unit's
+    # squared distance is still finite
+    vectors = 1e160 * rng.standard_normal((12, 3))
+    values = vectors[rng.integers(0, 12, size=40)] + 1e150 * rng.standard_normal((40, 3))
+    return _on_grid(values, vectors, 4)
+
+
+def _several_blocks(rng):
+    data = make_gaussian_clusters(3000, 8, n_clusters=8, seed=int(rng.integers(100)))
+    grid = init_grid(20, 20, data, seed=0)
+    assert data.n_rows * grid.m > 2 * som._BLOCK_PAIRS
+    return data.values, grid
+
+
+NEAREST_CASES = {
+    "duplicated-units": _duplicated_units,
+    "rows-on-units": _rows_on_units,
+    "half-integer-ties": _half_integer_ties,
+    "mean-offset-1e4": _mean_offset,
+    "scale-1e-3": _scaled(1e-3),
+    "scale-1e3": _scaled(1e3),
+    "sqrt-rounding-tie": _sqrt_rounding_tie,
+    "overflow": _overflow,
+    "several-blocks": _several_blocks,
+}
+
+
+def assert_search_matches_brute_force(values, grid):
+    squared = brute_force_squared(values, grid.reference_vectors)
+    assert np.array_equal(bmu_indices(values, grid), np.argmin(squared, axis=1))
+    assert [bmu(x, grid) for x in values] == np.argmin(squared, axis=1).tolist()
+    data = DataMatrix(values, [f"c{i}" for i in range(values.shape[1])])
+    assert quantization_error(grid, data) == float(np.mean(np.sqrt(squared.min(axis=1))))
+    assert goodness(grid, data) == brute_force_search_goodness(grid, data)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 7], ids=["default-blocks", "7-row-blocks"])
+@pytest.mark.parametrize("case", list(NEAREST_CASES))
+def test_nearest_unit_search_is_bitwise_brute_force(case, rows_per_block, monkeypatch):
+    values, grid = NEAREST_CASES[case](np.random.default_rng(2024))
+    if rows_per_block is not None:
+        monkeypatch.setattr(som, "_BLOCK_PAIRS", rows_per_block * grid.m)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow case overflows
+        assert_search_matches_brute_force(values, grid)
+
+
+def test_nearest_unit_search_random_adversarial_cases():
+    rng = np.random.default_rng(99)
+    for _ in range(100):
+        n, m = int(rng.integers(1, 40)), int(rng.integers(2, 50))
+        scale, offset = 10.0 ** rng.uniform(-3, 3), rng.choice([0.0, 1e2, 1e4])
+        vectors = offset + scale * rng.standard_normal((m, n))
+        copies = rng.integers(0, m, size=m // 4)
+        vectors[copies] = vectors[copies[::-1]]
+        values = offset + scale * rng.standard_normal((int(rng.integers(1, 80)), n))
+        values = np.vstack([values, vectors[rng.integers(0, m, size=5)]])
+        if rng.random() < 0.3:  # a coarse lattice makes exact ties common
+            vectors, values = np.round(vectors / scale) * scale, np.round(values / scale) * scale
+        assert_search_matches_brute_force(*_on_grid(values, vectors, m))
+
+
+def test_bmu_search_memory_is_bounded_by_a_block():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((4000, 30))
+    grid = SomGrid(20, 20, hex_positions(20, 20), rng.standard_normal((400, 30)))
+    tracemalloc.start()
+    try:
+        bmu_indices(values, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20  # the N x M x n difference tensor alone is 384 MB
+
+
+def test_train_searches_each_grid_once(iris_std, monkeypatch):
+    calls = []
+    search = som.bmu_indices
+    monkeypatch.setattr(som, "bmu_indices", lambda v, g: calls.append(g) or search(v, g))
+    result = train(iris_std, 3, 4, TrainConfig(epochs=4, seed=0))
+    assert len(calls) == 5
+    expected = [quantization_error(g, iris_std) for g in calls[1:]]
+    assert list(result.quantization_errors) == expected
 
 
 # ----------------------------------------------------------------------------
