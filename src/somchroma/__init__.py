@@ -7,6 +7,7 @@ from .colorspace import (
     RgbColor,
     builtin_planes,
     colorize,
+    hex_colors,
     in_gamut,
     lab_to_srgb,
     plane_color,

@@ -14,13 +14,15 @@ import hashlib
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import colorspace, projection, render, som
-from .colorspace import ColorPlane, RgbColor
+from .colorspace import ColorPlane
 from .dataset import DataMatrix, load_csv, standardize
 from .envelope import SCHEMA_VERSION, check_envelope, envelope, field, finite_matrix
 
@@ -79,16 +81,40 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
-        if payload.get("kind") == "manifest":  # allow re-running from a manifest
-            payload = payload.get("config", {})
+        if isinstance(payload, dict) and payload.get("kind") == "manifest":
+            payload = payload.get("config", {})  # allow re-running from a manifest
+        if not isinstance(payload, dict):
+            raise ValueError(f"config must be a JSON object, got {type(payload).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known - {"schema_version"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            value = payload.get(f.name)
+            if f.name in payload and not _fits(value, hints[f.name]):
+                raise ValueError(
+                    f"config key {f.name!r} must be {f.type}, got {type(value).__name__} {value!r}"
+                )
         return cls(**{k: v for k, v in payload.items() if k in known})
 
     def to_dict(self) -> dict:
         return {**asdict(self), "schema_version": SCHEMA_VERSION}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a decoded JSON value has the type a config field is annotated with."""
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if origin is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):  # JSON true/false is not a number
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def canonical_json(payload: dict) -> str:
@@ -185,11 +211,11 @@ def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
     )
     auto = cfg.sigma_final is None and cfg.rows * cfg.cols >= 2
     if auto:
-        sigma_final, result = som.select_sigma(data, cfg.rows, cfg.cols, tc)
+        sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, tc)
         print(f"selected sigma_final={sigma_final}", file=sys.stderr)
     else:
         result = som.train(data, cfg.rows, cfg.cols, tc)
-    g = som.goodness(result.grid, data) if result.grid.m >= 2 else None
+        g = som.goodness(result.grid, data) if result.grid.m >= 2 else None
     metadata = {
         "epochs": cfg.epochs,
         "sigma_schedule": [float(s) for s in result.sigmas],
@@ -227,12 +253,12 @@ def stage_color(embedding_payload: dict, cfg: PipelineConfig) -> dict:
         "plane": colorspace.plane_to_dict(plane),
         "swap_axes": bool(cfg.swap_axes),
         "unit_coords": [[float(u), float(v)] for u, v in coords],
-        "rgb": [[c.r, c.g, c.b] for c in colors],
-        "hex": [colorspace.rgb_to_hex(c) for c in colors],
+        "rgb": colors.tolist(),
+        "hex": colorspace.hex_colors(colors),
     }
 
 
-def _colors_from_payload(payload: dict) -> list[RgbColor]:
+def _colors_from_payload(payload: dict) -> np.ndarray:
     check_envelope(payload, "unit_colors")
     rgb = finite_matrix(payload, "unit_colors", "rgb", 3)
     bad = np.flatnonzero(((rgb < 0.0) | (rgb > 1.0)).any(axis=1))
@@ -240,7 +266,7 @@ def _colors_from_payload(payload: dict) -> list[RgbColor]:
         raise ValueError(
             f"unit_colors.rgb channels must lie in [0, 1]; unit {bad[0]} is {rgb[bad[0]].tolist()}"
         )
-    return [RgbColor(*c) for c in rgb.tolist()]
+    return rgb
 
 
 def stage_render(
@@ -395,14 +421,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", dest="k_neighbors", type=int, default=None)
         p.add_argument("--repulsion", dest="repulsion_t", type=float, default=None)
 
-    def color_opts(p):
+    def plane_opts(p):
         p.add_argument("--plane", default=None, help="built-in plane name")
+
+    def color_opts(p):
+        plane_opts(p)
         p.add_argument("--swap-axes", dest="swap_axes", action="store_const", const=True, default=None)
+
+    def size_opts(p):
+        p.add_argument("--spacing", dest="spacing_fraction", type=float, default=None)
+        p.add_argument("--unit-radius", dest="unit_radius_px", type=float, default=None)
 
     def render_opts(p):
         p.add_argument("--shape", choices=("circle", "hexagon"), default=None)
-        p.add_argument("--spacing", dest="spacing_fraction", type=float, default=None)
-        p.add_argument("--unit-radius", dest="unit_radius_px", type=float, default=None)
+        size_opts(p)
 
     p = common(sub.add_parser("pipeline", help="run all stages"))
     ingest_opts(p)
@@ -441,8 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-scatter", default=None, help="scatter SVG path")
 
     p = common(sub.add_parser("swatch", help="emit a color-plane swatch SVG"))
-    color_opts(p)
-    render_opts(p)
+    plane_opts(p)
+    size_opts(p)
     p.add_argument("--steps-u", type=int, default=21)
     p.add_argument("--steps-v", type=int, default=7)
     p.add_argument("--out", default=None, help="swatch SVG path")

@@ -32,6 +32,7 @@ __all__ = [
     "in_gamut",
     "colorize",
     "delta_e",
+    "hex_colors",
     "rgb_to_hex",
     "hex_to_rgb",
     "check_plane_gamut",
@@ -109,13 +110,24 @@ def get_plane(name: str) -> ColorPlane:
     raise ValueError(f"unknown color plane {name!r}; built-in planes: {known}")
 
 
+def _range_field(payload: dict, key: str) -> tuple[float, float]:
+    value = payload[key]
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    ):
+        raise ValueError(f"plane.{key} must be a [lo, hi] pair of numbers, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
 def plane_from_dict(payload: dict) -> ColorPlane:
     """Build a plane from config ({name, L_range, a_range, b_rule})."""
     try:
         return ColorPlane(
             name=str(payload["name"]),
-            L_range=(float(payload["L_range"][0]), float(payload["L_range"][1])),
-            a_range=(float(payload["a_range"][0]), float(payload["a_range"][1])),
+            L_range=_range_field(payload, "L_range"),
+            a_range=_range_field(payload, "a_range"),
             b_rule=payload["b_rule"],
         )
     except KeyError as exc:
@@ -198,9 +210,8 @@ def lab_to_srgb(c: LabColor) -> RgbColor:
 
     Gamut status is queryable separately via in_gamut.
     """
-    enc = _lab_to_encoded_rgb(np.array([c.L, c.a, c.b]))
-    enc = np.clip(enc, 0.0, 1.0)
-    return RgbColor(float(enc[0]), float(enc[1]), float(enc[2]))
+    enc = np.clip(_lab_to_encoded_rgb(np.array([c], dtype=float)), 0.0, 1.0)
+    return RgbColor(*enc[0].tolist())
 
 
 def srgb_to_lab(c: RgbColor) -> LabColor:
@@ -215,7 +226,7 @@ def in_gamut(c: LabColor, tolerance: float = GAMUT_TOLERANCE) -> bool:
     """True when all pre-clamp encoded channels lie in [-tolerance, 1+tolerance]."""
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
-    enc = _lab_to_encoded_rgb(np.array([c.L, c.a, c.b]))
+    enc = _lab_to_encoded_rgb(np.array([c], dtype=float))
     return bool(np.all(enc >= -tolerance) and np.all(enc <= 1.0 + tolerance))
 
 
@@ -224,8 +235,8 @@ def delta_e(c1: LabColor, c2: LabColor) -> float:
     return math.sqrt((c1.L - c2.L) ** 2 + (c1.a - c2.a) ** 2 + (c1.b - c2.b) ** 2)
 
 
-def colorize(embedding: np.ndarray, plane: ColorPlane) -> list[RgbColor]:
-    """Map normalized embedding coordinates to unit colors.
+def colorize(embedding: np.ndarray, plane: ColorPlane) -> np.ndarray:
+    """Map Mx2 normalized embedding coordinates to an Mx3 array of sRGB colors in [0, 1].
 
     Dimension 1 drives hue (u) and dimension 2 lightness (v), per the
     recommendation that hue carry the dominant component.
@@ -239,16 +250,22 @@ def colorize(embedding: np.ndarray, plane: ColorPlane) -> list[RgbColor]:
             f"embedding coordinate outside the unit square at row {bad[0]}, dim {bad[1]}"
         )
     lab = _plane_lab(plane, pts[:, 0], pts[:, 1])
-    enc = np.clip(_lab_to_encoded_rgb(lab), 0.0, 1.0)
-    return [RgbColor(float(r), float(g), float(b)) for r, g, b in enc]
+    return np.clip(_lab_to_encoded_rgb(lab), 0.0, 1.0)
+
+
+def hex_colors(rgb: np.ndarray) -> list[str]:
+    """#RRGGBB for each row of an Mx3 array of channels in [0, 1], rounded half-up."""
+    if not (isinstance(rgb, np.ndarray) and rgb.ndim == 2 and rgb.shape[1] == 3):
+        raise ValueError(f"colors must be an Mx3 array, got {getattr(rgb, 'shape', type(rgb).__name__)}")
+    if not np.isfinite(rgb).all():
+        raise ValueError("colors must be finite")
+    channels = np.minimum(255, (rgb * 255.0 + 0.5).astype(np.int64))  # truncates as int() does
+    return [f"#{r:02X}{g:02X}{b:02X}" for r, g, b in channels.tolist()]
 
 
 def rgb_to_hex(c: RgbColor) -> str:
     """#RRGGBB with channels rounded half-up from [0,1]."""
-    def chan(x: float) -> int:
-        return min(255, int(x * 255.0 + 0.5))
-
-    return f"#{chan(c.r):02X}{chan(c.g):02X}{chan(c.b):02X}"
+    return hex_colors(np.array([c], dtype=float))[0]
 
 
 def hex_to_rgb(text: str) -> RgbColor:

@@ -14,7 +14,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .colorspace import ColorPlane, RgbColor, lab_to_srgb, plane_color, rgb_to_hex
+from .colorspace import ColorPlane, RgbColor, colorize, hex_colors, rgb_to_hex
 from .som import SomGrid
 
 __all__ = [
@@ -166,16 +166,18 @@ def _marker_offsets(count: int, unit_radius: float) -> list[tuple[float, float]]
     return offsets
 
 
-def render_som_svg(grid: SomGrid, colors, overlay: Overlay, spec: RenderSpec) -> str:
+def render_som_svg(grid: SomGrid, colors: np.ndarray, overlay: Overlay, spec: RenderSpec) -> str:
     """SVG of the colored grid with class markers and labels.
 
+    `colors` is the Mx3 array `colorize` returns, row k filling unit k.
     Circles (default) leave room for the reference background; markers for
     data mapped to a unit stack in a small spiral, ordered by class tag then
     insertion order. Identical inputs yield identical bytes.
     """
     m = grid.m
-    if len(colors) != m:
-        raise ValueError(f"{len(colors)} colors for {m} units")
+    fills = hex_colors(colors)
+    if len(fills) != m:
+        raise ValueError(f"{len(fills)} colors for {m} units")
     overlay.validate(m)
 
     centers, (width, height) = hex_layout(grid, spec)
@@ -192,7 +194,7 @@ def render_som_svg(grid: SomGrid, colors, overlay: Overlay, spec: RenderSpec) ->
     lines.append(_background(width, height, spec.background))
     for k in range(m):
         cx, cy = centers[k]
-        lines.append(_unit_shape_element(spec.unit_shape, cx, cy, r, rgb_to_hex(colors[k])))
+        lines.append(_unit_shape_element(spec.unit_shape, cx, cy, r, fills[k]))
     for k in sorted(overlay.markers):
         tags = sorted(
             range(len(overlay.markers[k])), key=lambda i: (overlay.markers[k][i], i)
@@ -217,17 +219,19 @@ def render_som_svg(grid: SomGrid, colors, overlay: Overlay, spec: RenderSpec) ->
     return "\n".join(lines) + "\n"
 
 
-def render_scatter_svg(embedding: np.ndarray, colors, spec: RenderSpec) -> str:
+def render_scatter_svg(embedding: np.ndarray, colors: np.ndarray, spec: RenderSpec) -> str:
     """SVG scatter of the raw 2D embedding, isotropically fitted with 5% margin.
 
+    `colors` is the Mx3 array `colorize` returns, row k filling point k.
     A dimension with zero extent falls back to a unit-sized viewport so a
     single or collinear point set still renders at the canvas center.
     """
     pts = np.asarray(embedding, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected an Mx2 embedding, got {pts.shape}")
-    if len(colors) != pts.shape[0]:
-        raise ValueError(f"{len(colors)} colors for {pts.shape[0]} points")
+    fills = hex_colors(colors)
+    if len(fills) != pts.shape[0]:
+        raise ValueError(f"{len(fills)} colors for {pts.shape[0]} points")
 
     size = _SCATTER_CANVAS
     margin = 0.05 * size
@@ -246,7 +250,7 @@ def render_scatter_svg(embedding: np.ndarray, colors, spec: RenderSpec) -> str:
         y = size / 2.0 - (pts[k, 1] - mid[1]) * scale  # flip: y grows downward in SVG
         lines.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(dot_r)}" '
-            f'fill="{rgb_to_hex(colors[k])}"/>'
+            f'fill="{fills[k]}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -267,18 +271,17 @@ def render_plane_swatch_svg(
     width = (steps_u - 1) * pitch + side + 2.0 * pad
     height = (steps_v - 1) * pitch + side + 2.0 * pad
 
+    # row-major, top row first: v = 1 at the top
+    u, v = np.meshgrid(np.arange(steps_u) / (steps_u - 1), 1.0 - np.arange(steps_v) / (steps_v - 1))
+    fills = hex_colors(colorize(np.column_stack([u.ravel(), v.ravel()]), plane))
+
     lines = _svg_open(width, height)
     lines.append(_background(width, height, spec.background))
-    for j in range(steps_v):  # top row first: v = 1 at the top
-        v = 1.0 - j / (steps_v - 1)
-        for i in range(steps_u):
-            u = i / (steps_u - 1)
-            fill = rgb_to_hex(lab_to_srgb(plane_color(plane, u, v)))
-            x = pad + i * pitch
-            y = pad + j * pitch
-            lines.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(side)}" '
-                f'height="{_fmt(side)}" fill="{fill}"/>'
-            )
+    for k, fill in enumerate(fills):
+        j, i = divmod(k, steps_u)
+        lines.append(
+            f'<rect x="{_fmt(pad + i * pitch)}" y="{_fmt(pad + j * pitch)}" '
+            f'width="{_fmt(side)}" height="{_fmt(side)}" fill="{fill}"/>'
+        )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -425,11 +425,12 @@ def goodness(grid: SomGrid, data: DataMatrix) -> float:
 
 def select_sigma(
     data: DataMatrix, rows: int, cols: int, config: TrainConfig
-) -> tuple[float, TrainResult]:
+) -> tuple[float, TrainResult, float]:
     """Train one SOM per candidate final sigma and keep the best map.
 
     Returns the candidate minimizing goodness together with its trained
-    result; goodness ties within 1e-12 resolve to the smaller sigma.
+    result and its goodness; goodness ties within 1e-12 resolve to the
+    smaller sigma.
     """
     si = config.sigma_initial if config.sigma_initial is not None else max(rows, cols) / 2.0
     si = float(si)
@@ -444,7 +445,7 @@ def select_sigma(
     best_g = min(g for _, _, g in results)
     for sf, result, g in results:  # ascending sigma: first within tolerance wins
         if g <= best_g + 1e-12:
-            return sf, result
+            return sf, result, g
     raise AssertionError("unreachable")
 
 

@@ -269,7 +269,7 @@ def test_criterion_08_determinism(iris_run, tmp_path, iris_path):
 def test_criterion_09_sigma_auto_selection():
     data = make_gaussian_clusters(90, 3, seed=9)
     config = som.TrainConfig(seed=0)
-    sigma, result = som.select_sigma(data, 5, 5, config)
+    sigma, result, _ = som.select_sigma(data, 5, 5, config)
     chosen_goodness = som.goodness(result.grid, data)
 
     evaluations = {}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import somchroma
-from somchroma import cli
+from somchroma import cli, som
 
 from conftest import make_gaussian_clusters, write_numeric_csv
 
@@ -278,6 +278,29 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "error: config must be a JSON object, got list"),
+    ({"epochs": "40"}, "error: config key 'epochs' must be int, got str '40'"),
+], ids=["not-an-object", "wrong-type"])
+def test_malformed_config_rejected_before_any_stage(tmp_path, iris_path, capsys, config, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--config", str(cfg_path), "--input", str(iris_path),
+                     "--grid", "3x3", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", 40.0), ("seed", True), ("has_header", 1), ("tolerance", "1e-9"),
+    ("sigma_candidates", [0.5, "1"]), ("plane", 3), ("epochs", None),
+])
+def test_config_value_of_wrong_json_type_is_named(key, value):
+    with pytest.raises(ValueError, match=f"^config key '{key}' must be "):
+        cli.PipelineConfig.from_dict({key: value})
+
+
 def test_manifest_threads_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "manifest.json"
     cfg_path.write_text(json.dumps({"kind": "manifest", "config": {"threads": None}}))
@@ -372,6 +395,32 @@ def test_swatch_command(tmp_path):
                      "--steps-u", "11", "--steps-v", "5", "--out", str(out)]) == 0
     svg = out.read_text()
     assert svg.count("<rect") == 56
+
+
+@pytest.mark.parametrize("flag", [["--swap-axes"], ["--shape", "hexagon"]])
+def test_swatch_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["swatch", *flag, "--out", str(tmp_path / "swatch.svg")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_auto_sigma_train_stage_calls_goodness_once_per_candidate(iris_path, monkeypatch):
+    cfg = cli.PipelineConfig(input=str(iris_path), class_column="species", rows=3, cols=3,
+                             epochs=3, sigma_candidates=[0.5, 0.8, 1.1])
+    std_payload = cli.stage_ingest(cfg)
+    real_goodness = som.goodness
+    calls = []
+
+    def counting_goodness(grid, data):
+        calls.append(grid.m)
+        return real_goodness(grid, data)
+
+    monkeypatch.setattr(som, "goodness", counting_goodness)
+    payload = cli.stage_train(std_payload, cfg)
+    assert len(calls) == 3
+    grid, metadata = som.grid_from_dict(payload)
+    assert metadata["goodness"] == real_goodness(grid, cli._data_from_payload(std_payload))
 
 
 def test_custom_plane_from_config(tmp_path, iris_path):

@@ -12,6 +12,7 @@ from somchroma.colorspace import (
     colorize,
     delta_e,
     get_plane,
+    hex_colors,
     hex_to_rgb,
     in_gamut,
     lab_to_srgb,
@@ -103,6 +104,17 @@ def test_plane_from_dict_roundtrip():
         {"name": "diag", "L_range": [30, 70], "a_range": [-20, 20], "b_rule": "a"}
     )
     assert diagonal.b_rule == "a"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("L_range", 5), ("L_range", [20]), ("L_range", [20, "80"]), ("L_range", [True, 80]),
+    ("a_range", 5), ("a_range", [-20, 0, 20]), ("a_range", None),
+])
+def test_plane_from_dict_names_malformed_range(key, value):
+    payload = {"name": "custom", "L_range": [30, 70], "a_range": [-20, 20], "b_rule": 10}
+    payload[key] = value
+    with pytest.raises(ValueError, match=rf"^plane\.{key} must be a \[lo, hi\] pair"):
+        plane_from_dict(payload)
 
 
 def test_plane_rejects_bad_ranges():
@@ -198,7 +210,8 @@ def test_colorize_constant_coordinates_yield_one_color():
     cgr = get_plane("cyan-gray-red")
     coords = np.full((10, 2), 0.5)
     colors = colorize(coords, cgr)
-    assert len(set(colors)) == 1
+    assert isinstance(colors, np.ndarray) and colors.shape == (10, 3)
+    assert len(set(map(tuple, colors.tolist()))) == 1
     mid = lab_to_srgb(LabColor(50.0, 0.0, 0.0))
     assert max(abs(a - b) for a, b in zip(colors[0], mid)) <= 1e-12
 
@@ -219,8 +232,16 @@ def test_colorize_deterministic(iris_std):
     cgr = get_plane("cyan-gray-red")
     a = colorize(coords, cgr)
     b = colorize(coords, cgr)
-    assert a == b
-    assert len(a) == 42
+    assert np.array_equal(a, b)
+    assert a.shape == (42, 3)
+
+
+@pytest.mark.parametrize("plane", builtin_planes(), ids=lambda p: p.name)
+def test_scalar_colors_equal_colorize_rows_bitwise(plane):
+    uv = np.random.default_rng(7).uniform(0.0, 1.0, size=(3000, 2))
+    rows = colorize(uv, plane).tolist()
+    scalar = [tuple(lab_to_srgb(plane_color(plane, u, v))) for u, v in uv.tolist()]
+    assert scalar == [tuple(row) for row in rows]
 
 
 def test_colorize_rejects_out_of_square():
@@ -235,6 +256,24 @@ def test_rgb_to_hex_rounds_half_up():
     assert rgb_to_hex(RgbColor(0.5, 0.0, 1.0)) == "#8000FF"
     # 127.5/255 rounds up to 128, not banker's 128/127 ambiguity
     assert rgb_to_hex(RgbColor(127.5 / 255.0, 0.0, 0.0)) == "#800000"
+
+
+def test_hex_colors_matches_per_channel_formula():
+    def chan(x):
+        return min(255, int(x * 255.0 + 0.5))
+
+    halves = (np.arange(255) + 0.5) / 255.0  # the rounding boundaries
+    x = np.concatenate([halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1.0), [0.0, 1.0]])
+    rgb = np.column_stack([x, x[::-1], np.roll(x, 1)])
+    expected = [f"#{chan(r):02X}{chan(g):02X}{chan(b):02X}" for r, g, b in rgb.tolist()]
+    assert hex_colors(rgb) == expected
+    assert [rgb_to_hex(RgbColor(*row)) for row in rgb.tolist()] == expected
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 4)), np.array([[np.nan, 0.0, 0.0]])])
+def test_hex_colors_rejects_non_mx3_or_non_finite(bad):
+    with pytest.raises(ValueError, match="Mx3|finite"):
+        hex_colors(bad)
 
 
 def test_hex_to_rgb_roundtrip():

@@ -4,7 +4,16 @@ import re
 import numpy as np
 import pytest
 
-from somchroma.colorspace import RgbColor, get_plane, lab_to_srgb, plane_color, rgb_to_hex
+from somchroma.colorspace import (
+    RgbColor,
+    builtin_planes,
+    colorize,
+    get_plane,
+    hex_colors,
+    lab_to_srgb,
+    plane_color,
+    rgb_to_hex,
+)
 from somchroma.render import (
     Overlay,
     RenderSpec,
@@ -26,7 +35,7 @@ def make_grid(rows, cols, dim=3, seed=0):
 
 
 def gray_colors(m):
-    return [RgbColor(0.5, 0.5, 0.5)] * m
+    return np.full((m, 3), 0.5)
 
 
 # ----------------------------------------------------------------------------
@@ -154,6 +163,19 @@ def test_render_som_rejects_color_mismatch():
         render_som_svg(grid, gray_colors(3), Overlay(), RenderSpec())
 
 
+@pytest.mark.parametrize("colors, got", [
+    ([RgbColor(0.5, 0.5, 0.5)] * 4, "got list"),
+    (np.full(4, 0.5), r"got \(4,\)"),
+    (np.full((4, 4), 0.5), r"got \(4, 4\)"),
+])
+def test_renderers_reject_colors_that_are_not_an_mx3_array(colors, got):
+    message = f"colors must be an Mx3 array, {got}"
+    with pytest.raises(ValueError, match=message):
+        render_som_svg(make_grid(2, 2), colors, Overlay(), RenderSpec())
+    with pytest.raises(ValueError, match=message):
+        render_scatter_svg(np.zeros((4, 2)), colors, RenderSpec())
+
+
 def test_render_som_rejects_bad_overlay_index():
     grid = make_grid(2, 2)
     overlay = Overlay(markers={4: ["x"]})
@@ -176,7 +198,7 @@ def test_render_scatter_single_point_centered():
 def test_render_scatter_colors_match_map_colors():
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((42, 2))
-    colors = [RgbColor(*rng.uniform(0, 1, 3)) for _ in range(42)]
+    colors = rng.uniform(0, 1, (42, 3))
     svg = render_scatter_svg(pts, colors, RenderSpec())
     fills = re.findall(r'<circle[^>]*fill="(#[0-9A-F]{6})"', svg)
     assert fills == [rgb_to_hex(c) for c in colors]
@@ -208,6 +230,19 @@ def test_render_swatch_counts_and_corners():
     light_red = rgb_to_hex(lab_to_srgb(plane_color(cgr, 1.0, 1.0)))
     assert dark_cyan in swatches and light_red in swatches
     assert_within_viewbox(svg)
+
+
+@pytest.mark.parametrize("plane", builtin_planes(), ids=lambda p: p.name)
+def test_render_swatch_fills_are_the_colorized_grid_row_major(plane):
+    steps_u, steps_v = 7, 4
+    # row-major from the top-left swatch, which is u = 0, v = 1
+    uv = [[i / (steps_u - 1), 1.0 - j / (steps_v - 1)]
+          for j in range(steps_v) for i in range(steps_u)]
+    svg = render_plane_swatch_svg(plane, steps_u, steps_v, RenderSpec())
+    fills = re.findall(r'<rect[^>]*fill="(#[0-9A-F]{6})"', svg)[1:]
+    assert fills == hex_colors(colorize(np.array(uv), plane))
+    rects = re.findall(r'<rect x="([0-9.]+)" y="([0-9.]+)" width', svg)[1:]
+    assert sorted(rects, key=lambda xy: (float(xy[1]), float(xy[0]))) == rects
 
 
 def test_render_swatch_grid_count():

@@ -460,16 +460,18 @@ def test_train_searches_each_grid_once(iris_std, monkeypatch):
 
 def test_select_sigma_single_candidate(iris_std):
     cfg = TrainConfig(epochs=3, sigma_candidates=(0.9,), seed=0)
-    sigma, result = select_sigma(iris_std, 3, 3, cfg)
+    sigma, result, g = select_sigma(iris_std, 3, 3, cfg)
     assert sigma == 0.9
     assert result.sigmas[-1] == 0.9
+    assert g == goodness(result.grid, iris_std)
 
 
 def test_select_sigma_returns_argmin():
     data = make_gaussian_clusters(60, 3, seed=1)
     cfg = TrainConfig(epochs=10, sigma_candidates=(0.5, 1.0), seed=0)
-    sigma, result = select_sigma(data, 4, 4, cfg)
+    sigma, result, g = select_sigma(data, 4, 4, cfg)
     chosen = goodness(result.grid, data)
+    assert g == chosen
     for cand in (0.5, 1.0):
         other = train(data, 4, 4, TrainConfig(epochs=10, sigma_initial=2.0, sigma_final=cand, seed=0))
         assert chosen <= goodness(other.grid, data) + 1e-12
@@ -479,7 +481,7 @@ def test_select_sigma_tie_prefers_smaller():
     # one epoch uses only sigma_initial, so both candidates train identically
     data = make_gaussian_clusters(30, 3, seed=2)
     cfg = TrainConfig(epochs=1, sigma_candidates=(0.5, 1.0), seed=0)
-    sigma, _ = select_sigma(data, 3, 3, cfg)
+    sigma, _, _ = select_sigma(data, 3, 3, cfg)
     assert sigma == 0.5
 
 
