@@ -10,8 +10,10 @@ Every run writes a manifest with the resolved config and artifact checksums.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import types
@@ -30,8 +32,6 @@ __all__ = ["PipelineConfig", "cmd_pipeline", "main"]
 
 CONFIG_ENV_VAR = "SOMCHROMA_CONFIG"
 
-ARTIFACT_NAMES = ("standardized.json", "grid.json", "embedding.json", "som.svg", "scatter.svg")
-
 _METHOD_ALIASES = {"mds": "metric_mds", "metric_mds": "metric_mds", "sammon": "sammon", "lmds": "lmds"}
 
 
@@ -44,7 +44,11 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Declarative description of a full run; flags override config-file keys."""
+    """Declarative description of a full run; flags override config-file keys.
+
+    Each stage's settings are built from the final config once, by the
+    properties below, so the pipeline can check them all before any stage runs.
+    """
 
     input: str | None = None
     has_header: bool = True
@@ -52,28 +56,32 @@ class PipelineConfig:
     class_column: str | None = None
     rows: int | None = None
     cols: int | None = None
-    epochs: int = 40
+    epochs: int = som.TrainConfig.epochs
     sigma_initial: float | None = None
     sigma_final: float | None = None
     sigma_candidates: list[float] | None = None
-    method: str = "sammon"
+    method: str = projection.ProjectionConfig.method
     k_neighbors: int | None = None
     repulsion_t: float | None = None
-    max_iterations: int = 2000
-    tolerance: float = 1e-9
+    max_iterations: int = projection.ProjectionConfig.max_iterations
+    tolerance: float = projection.ProjectionConfig.tolerance
     plane: str | dict = "cyan-gray-red"
     swap_axes: bool = False
-    shape: str = "circle"
-    spacing_fraction: float = 0.15
-    background: str = "#FFFFFF"
-    unit_radius_px: float = 18.0
-    label_font_size_px: float = 11.0
+    shape: str = render.RenderSpec.unit_shape
+    spacing_fraction: float = render.RenderSpec.spacing_fraction
+    background: str = colorspace.rgb_to_hex(render.RenderSpec.background)
+    unit_radius_px: float = render.RenderSpec.unit_radius_px
+    label_font_size_px: float = render.RenderSpec.label_font_size_px
     marker_radius_px: float | None = None
     marker_map: dict | None = None
     out: str = "."
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _finite(value):
+                raise ValueError(f"config key {f.name!r} must be finite, got {value!r}")
         method = _METHOD_ALIASES.get(self.method)
         if method is None:
             raise ValueError(f"method must be one of mds, sammon, lmds; got {self.method!r}")
@@ -100,6 +108,54 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "schema_version": SCHEMA_VERSION}
+
+    @functools.cached_property
+    def train_config(self) -> som.TrainConfig:
+        if self.rows is None or self.cols is None:
+            raise ValueError("no grid shape configured (--grid RxC)")
+        return som.TrainConfig(
+            epochs=self.epochs,
+            sigma_initial=self.sigma_initial,
+            sigma_final=self.sigma_final,
+            seed=self.seed,
+            sigma_candidates=tuple(self.sigma_candidates) if self.sigma_candidates else None,
+        )
+
+    @functools.cached_property
+    def projection_config(self) -> projection.ProjectionConfig:
+        return projection.ProjectionConfig(
+            method=self.method,
+            k_neighbors=self.k_neighbors,
+            repulsion_t=self.repulsion_t,
+            max_iterations=self.max_iterations,
+            tolerance=self.tolerance,
+            seed=self.seed,
+        )
+
+    @functools.cached_property
+    def color_plane(self) -> ColorPlane:
+        return _resolve_plane(self.plane)
+
+    @functools.cached_property
+    def render_spec(self) -> render.RenderSpec:
+        return render.RenderSpec(
+            unit_shape=self.shape,
+            spacing_fraction=self.spacing_fraction,
+            background=colorspace.hex_to_rgb(self.background),
+            unit_radius_px=self.unit_radius_px,
+            label_font_size_px=self.label_font_size_px,
+            marker_radius_px=self.marker_radius_px,
+            marker_map=self.marker_map,
+        )
+
+
+def _finite(value) -> bool:
+    """Whether every number in a decoded config value is finite (JSON allows NaN)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, dict)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return True
 
 
 def _fits(value, hint) -> bool:
@@ -200,15 +256,7 @@ def _data_from_payload(payload: dict) -> DataMatrix:
 
 def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
     data = _data_from_payload(std_payload)
-    if cfg.rows is None or cfg.cols is None:
-        raise ValueError("no grid shape configured (--grid RxC)")
-    tc = som.TrainConfig(
-        epochs=cfg.epochs,
-        sigma_initial=cfg.sigma_initial,
-        sigma_final=cfg.sigma_final,
-        seed=cfg.seed,
-        sigma_candidates=tuple(cfg.sigma_candidates) if cfg.sigma_candidates else None,
-    )
+    tc = cfg.train_config
     auto = cfg.sigma_final is None and cfg.rows * cfg.cols >= 2
     if auto:
         sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, tc)
@@ -228,21 +276,14 @@ def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
 
 def stage_project(grid_payload: dict, cfg: PipelineConfig) -> dict:
     grid, _ = som.grid_from_dict(grid_payload)
-    pc = projection.ProjectionConfig(
-        method=cfg.method,
-        k_neighbors=cfg.k_neighbors,
-        repulsion_t=cfg.repulsion_t,
-        max_iterations=cfg.max_iterations,
-        tolerance=cfg.tolerance,
-        seed=cfg.seed,
-    )
+    pc = cfg.projection_config
     result = projection.project(grid.reference_vectors, pc)
     return projection.embedding_to_dict(result, pc)
 
 
 def stage_color(embedding_payload: dict, cfg: PipelineConfig) -> dict:
     points = projection.embedding_from_dict(embedding_payload)
-    plane = _resolve_plane(cfg.plane)
+    plane = cfg.color_plane
     aligned = projection.align_axes(points) if points.shape[0] >= 2 else points.copy()
     coords = projection.normalize_components(aligned)
     if cfg.swap_axes:
@@ -293,56 +334,90 @@ def stage_render(
             if data.row_labels is not None:
                 overlay.labels.setdefault(int(unit), []).append(data.row_labels[row])
 
-    spec = render.RenderSpec(
-        unit_shape=cfg.shape,
-        spacing_fraction=cfg.spacing_fraction,
-        background=colorspace.hex_to_rgb(cfg.background),
-        unit_radius_px=cfg.unit_radius_px,
-        label_font_size_px=cfg.label_font_size_px,
-        marker_radius_px=cfg.marker_radius_px,
-        marker_map=cfg.marker_map,
-    )
-    som_svg = render.render_som_svg(grid, colors, overlay, spec)
-    scatter_svg = render.render_scatter_svg(points, colors, spec)
+    som_svg = render.render_som_svg(grid, colors, overlay, cfg.render_spec)
+    scatter_svg = render.render_scatter_svg(points, colors, cfg.render_spec)
     return som_svg, scatter_svg
 
 
 # ----------------------------------------------------------------------------
+# the stage table: each stage command's artifacts, options and settings
+
+def _parse_candidates(text: str) -> list[float]:
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"sigma candidates must be comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise ValueError("sigma candidate list is empty")
+    return values
+
+
+# Each option is (flag, add_argument keywords). Every option defaults to None,
+# so that only flags given on the command line override config keys.
+_PLANE_OPTIONS = (("--plane", dict(help="built-in plane name")),)
+_SIZE_OPTIONS = (("--spacing", dict(dest="spacing_fraction", type=float)),
+                 ("--unit-radius", dict(dest="unit_radius_px", type=float)))
+
+
+class Stage(typing.NamedTuple):
+    """A stage command; the module global stage_<name> computes it.
+
+    reads: (flag, default file name of the artifact it reads) per input.
+    writes: (flag, default file name, description) per output, in the order
+    stage_<name> returns them. The pipeline writes them into --out under their
+    default names, unless `kept` is false: then it only hands them on.
+    settings: the PipelineConfig property that builds the stage's settings.
+    """
+
+    name: str
+    help: str
+    reads: tuple[tuple[str, str], ...]
+    options: tuple[tuple[str, dict], ...]
+    writes: tuple[tuple[str, str, str], ...]
+    settings: str | None
+    kept: bool = True
+
+
+STAGES = (
+    Stage("ingest", "load and standardize a CSV", (),
+          (("--input", dict(help="CSV input file")),
+           ("--no-header", dict(dest="has_header", action="store_const", const=False)),
+           ("--label-column", {}),
+           ("--class-column", {})),
+          (("--out", "standardized.json", "standardized-data JSON"),), None),
+    Stage("train", "train the SOM on standardized data", (("--in", "standardized.json"),),
+          (("--grid", dict(metavar="RxC", help="grid shape, e.g. 6x7")),
+           ("--epochs", dict(type=int)),
+           ("--sigma-init", dict(dest="sigma_initial", type=float)),
+           ("--sigma-final", dict(dest="sigma_final", type=float)),
+           ("--sigma-auto", dict(dest="sigma_candidates", type=_parse_candidates,
+                                 metavar="S1,S2,...",
+                                 help="candidate final sigmas for automatic selection"))),
+          (("--out", "grid.json", "grid JSON"),), "train_config"),
+    Stage("project", "project reference vectors to 2D", (("--in", "grid.json"),),
+          (("--method", dict(choices=sorted(set(_METHOD_ALIASES)))),
+           ("--k", dict(dest="k_neighbors", type=int)),
+           ("--repulsion", dict(dest="repulsion_t", type=float))),
+          (("--out", "embedding.json", "embedding JSON"),), "projection_config"),
+    Stage("color", "derive unit colors from an embedding", (("--in", "embedding.json"),),
+          _PLANE_OPTIONS + (("--swap-axes", dict(action="store_const", const=True)),),
+          (("--out", "colors.json", "unit-colors JSON"),), "color_plane", kept=False),
+    Stage("render", "emit the SOM and scatter SVGs",
+          (("--in-data", "standardized.json"), ("--in-grid", "grid.json"),
+           ("--in-embedding", "embedding.json"), ("--in-colors", "colors.json")),
+          (("--shape", dict(choices=("circle", "hexagon"))),) + _SIZE_OPTIONS,
+          (("--out-som", "som.svg", "SOM SVG"), ("--out-scatter", "scatter.svg", "scatter SVG")),
+          "render_spec"),
+)
+
+
+def _dest(flag: str) -> str:
+    """The argparse dest of an artifact flag; `in` is a keyword, so --in is stored as in_path."""
+    return "in_path" if flag == "--in" else flag[2:].replace("-", "_")
+
+
+# ----------------------------------------------------------------------------
 # commands
-
-def cmd_pipeline(cfg: PipelineConfig) -> dict:
-    """Run every stage, write the five artifacts plus a manifest, return metrics."""
-    out_dir = Path(cfg.out)
-    checksums: dict[str, str] = {}
-
-    def emit(name: str, content: str):
-        checksums[name] = _write_artifact(out_dir / name, content)
-        print(f"wrote {out_dir / name}", file=sys.stderr)
-
-    std_payload = _run("ingest", stage_ingest, cfg)
-    # From here on the old artifacts get replaced, so the old manifest no
-    # longer vouches for them; a failed run must leave none behind.
-    (out_dir / "manifest.json").unlink(missing_ok=True)
-    emit("standardized.json", canonical_json(std_payload))
-    grid_payload = _run("train", stage_train, std_payload, cfg)
-    emit("grid.json", canonical_json(grid_payload))
-    embedding_payload = _run("project", stage_project, grid_payload, cfg)
-    emit("embedding.json", canonical_json(embedding_payload))
-    colors_payload = _run("color", stage_color, embedding_payload, cfg)
-    som_svg, scatter_svg = _run(
-        "render", stage_render, std_payload, grid_payload, embedding_payload, colors_payload, cfg
-    )
-    emit("som.svg", som_svg)
-    emit("scatter.svg", scatter_svg)
-    _write_manifest(out_dir / "manifest.json", cfg, checksums)
-
-    metrics = {
-        "quantization_error": grid_payload["training_metadata"]["quantization_error"],
-        "goodness": grid_payload["training_metadata"]["goodness"],
-        "final_stress": embedding_payload["final_stress"],
-    }
-    return metrics
-
 
 def _run(stage: str, fn, *args):
     try:
@@ -353,12 +428,49 @@ def _run(stage: str, fn, *args):
         raise StageError(stage, exc) from exc
 
 
-def _stage_manifest_path(out_path: Path) -> Path:
-    return out_path.with_name(out_path.name + ".manifest.json")
+def _run_stage(stage: Stage, inputs: list, cfg: PipelineConfig) -> tuple:
+    """The stage's outputs, payload dicts or SVG text, in the order of `stage.writes`."""
+    result = _run(stage.name, globals()[f"stage_{stage.name}"], *inputs, cfg)
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _text(output) -> str:
+    return output if isinstance(output, str) else canonical_json(output)
+
+
+def cmd_pipeline(cfg: PipelineConfig) -> dict:
+    """Run every stage, write the five artifacts plus a manifest, return metrics."""
+    for stage in STAGES:  # build every stage's settings, so a bad one fails before any write
+        if stage.settings:
+            _run(stage.name, getattr, cfg, stage.settings)
+    out_dir = Path(cfg.out)
+    payloads: dict[str, dict | str] = {}
+    checksums: dict[str, str] = {}
+    for stage in STAGES:
+        outputs = _run_stage(stage, [payloads[name] for _, name in stage.reads], cfg)
+        for (_, name, _), payload in zip(stage.writes, outputs):
+            payloads[name] = payload
+            if not stage.kept:
+                continue
+            if not checksums:
+                # From here on the old artifacts get replaced, so the old manifest no
+                # longer vouches for them; a failed run must leave none behind.
+                (out_dir / "manifest.json").unlink(missing_ok=True)
+            checksums[name] = _write_artifact(out_dir / name, _text(payload))
+            print(f"wrote {out_dir / name}", file=sys.stderr)
+    _write_manifest(out_dir / "manifest.json", cfg, checksums)
+
+    training = payloads["grid.json"]["training_metadata"]
+    return {
+        "quantization_error": training["quantization_error"],
+        "goodness": training["goodness"],
+        "final_stress": payloads["embedding.json"]["final_stress"],
+    }
 
 
 def _finish_stage(cfg: PipelineConfig, outputs: dict[Path, str]) -> None:
-    manifest = _stage_manifest_path(next(iter(outputs)))
+    first = next(iter(outputs))
+    manifest = first.with_name(first.name + ".manifest.json")
     manifest.unlink(missing_ok=True)  # see cmd_pipeline
     checksums = {}
     for path, content in outputs.items():
@@ -378,16 +490,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ValueError(f"grid must look like RxC (e.g. 6x7), got {text!r}") from None
 
 
-def _parse_candidates(text: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ValueError(f"sigma candidates must be comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ValueError("sigma candidate list is empty")
-    return values
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="somchroma",
@@ -396,85 +498,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help=f"JSON config file (default: ${CONFIG_ENV_VAR})")
         p.add_argument("--seed", type=int, default=None)
         return p
 
-    def ingest_opts(p):
-        p.add_argument("--input", default=None, help="CSV input file")
-        p.add_argument("--no-header", dest="has_header", action="store_const", const=False, default=None)
-        p.add_argument("--label-column", default=None)
-        p.add_argument("--class-column", default=None)
+    def add(p, options):
+        for flag, keywords in options:
+            p.add_argument(flag, default=None, **keywords)
 
-    def train_opts(p):
-        p.add_argument("--grid", default=None, metavar="RxC", help="grid shape, e.g. 6x7")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--sigma-init", dest="sigma_initial", type=float, default=None)
-        p.add_argument("--sigma-final", dest="sigma_final", type=float, default=None)
-        p.add_argument("--sigma-auto", dest="sigma_candidates", type=_parse_candidates,
-                       default=None, metavar="S1,S2,...",
-                       help="candidate final sigmas for automatic selection")
-
-    def project_opts(p):
-        p.add_argument("--method", choices=sorted(set(_METHOD_ALIASES)), default=None)
-        p.add_argument("--k", dest="k_neighbors", type=int, default=None)
-        p.add_argument("--repulsion", dest="repulsion_t", type=float, default=None)
-
-    def plane_opts(p):
-        p.add_argument("--plane", default=None, help="built-in plane name")
-
-    def color_opts(p):
-        plane_opts(p)
-        p.add_argument("--swap-axes", dest="swap_axes", action="store_const", const=True, default=None)
-
-    def size_opts(p):
-        p.add_argument("--spacing", dest="spacing_fraction", type=float, default=None)
-        p.add_argument("--unit-radius", dest="unit_radius_px", type=float, default=None)
-
-    def render_opts(p):
-        p.add_argument("--shape", choices=("circle", "hexagon"), default=None)
-        size_opts(p)
-
-    p = common(sub.add_parser("pipeline", help="run all stages"))
-    ingest_opts(p)
-    train_opts(p)
-    project_opts(p)
-    color_opts(p)
-    render_opts(p)
+    p = command("pipeline", "run all stages")
+    for stage in STAGES:
+        add(p, stage.options)
     p.add_argument("--out", default=None, help="output directory")
 
-    p = common(sub.add_parser("ingest", help="load and standardize a CSV"))
-    ingest_opts(p)
-    p.add_argument("--out", default=None, required=False, help="standardized-data JSON path")
+    described = {name: what for stage in STAGES for _, name, what in stage.writes}
+    for stage in STAGES:
+        p = command(stage.name, stage.help)
+        for flag, name in stage.reads:
+            p.add_argument(flag, dest=_dest(flag), required=True, help=described[name])
+        add(p, stage.options)
+        for flag, _, what in stage.writes:
+            p.add_argument(flag, dest=_dest(flag), default=None, help=f"{what} path")
 
-    p = common(sub.add_parser("train", help="train the SOM on standardized data"))
-    p.add_argument("--in", dest="in_path", required=True, help="standardized-data JSON")
-    train_opts(p)
-    p.add_argument("--out", default=None, help="grid JSON path")
-
-    p = common(sub.add_parser("project", help="project reference vectors to 2D"))
-    p.add_argument("--in", dest="in_path", required=True, help="grid JSON")
-    project_opts(p)
-    p.add_argument("--out", default=None, help="embedding JSON path")
-
-    p = common(sub.add_parser("color", help="derive unit colors from an embedding"))
-    p.add_argument("--in", dest="in_path", required=True, help="embedding JSON")
-    color_opts(p)
-    p.add_argument("--out", default=None, help="unit-colors JSON path")
-
-    p = common(sub.add_parser("render", help="emit the SOM and scatter SVGs"))
-    p.add_argument("--in-data", required=True, help="standardized-data JSON")
-    p.add_argument("--in-grid", required=True, help="grid JSON")
-    p.add_argument("--in-embedding", required=True, help="embedding JSON")
-    p.add_argument("--in-colors", required=True, help="unit-colors JSON")
-    render_opts(p)
-    p.add_argument("--out-som", default=None, help="SOM SVG path")
-    p.add_argument("--out-scatter", default=None, help="scatter SVG path")
-
-    p = common(sub.add_parser("swatch", help="emit a color-plane swatch SVG"))
-    plane_opts(p)
-    size_opts(p)
+    p = command("swatch", "emit a color-plane swatch SVG")
+    add(p, _PLANE_OPTIONS + _SIZE_OPTIONS)
     p.add_argument("--steps-u", type=int, default=21)
     p.add_argument("--steps-v", type=int, default=7)
     p.add_argument("--out", default=None, help="swatch SVG path")
@@ -505,70 +554,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        command = args.command
-
-        if command == "pipeline":
-            metrics = cmd_pipeline(cfg)
-            print(json.dumps(metrics, sort_keys=True))
-            return 0
-
-        if command == "ingest":
-            payload = _run("ingest", stage_ingest, cfg)
-            out = Path(getattr(args, "out", None) or "standardized.json")
-            _finish_stage(cfg, {out: canonical_json(payload)})
-            return 0
-
-        if command == "train":
-            std_payload = _load_payload(args.in_path)
-            payload = _run("train", stage_train, std_payload, cfg)
-            out = Path(getattr(args, "out", None) or "grid.json")
-            _finish_stage(cfg, {out: canonical_json(payload)})
-            return 0
-
-        if command == "project":
-            grid_payload = _load_payload(args.in_path)
-            payload = _run("project", stage_project, grid_payload, cfg)
-            out = Path(getattr(args, "out", None) or "embedding.json")
-            _finish_stage(cfg, {out: canonical_json(payload)})
-            return 0
-
-        if command == "color":
-            embedding_payload = _load_payload(args.in_path)
-            payload = _run("color", stage_color, embedding_payload, cfg)
-            out = Path(getattr(args, "out", None) or "colors.json")
-            _finish_stage(cfg, {out: canonical_json(payload)})
-            return 0
-
-        if command == "render":
-            std_payload = _load_payload(args.in_data)
-            grid_payload = _load_payload(args.in_grid)
-            embedding_payload = _load_payload(args.in_embedding)
-            colors_payload = _load_payload(args.in_colors)
-            som_svg, scatter_svg = _run(
-                "render", stage_render,
-                std_payload, grid_payload, embedding_payload, colors_payload, cfg,
-            )
-            out_som = Path(getattr(args, "out_som", None) or "som.svg")
-            out_scatter = Path(getattr(args, "out_scatter", None) or "scatter.svg")
-            _finish_stage(cfg, {out_som: som_svg, out_scatter: scatter_svg})
-            return 0
-
-        if command == "swatch":
-            plane = _run("swatch", _resolve_plane, cfg.plane)
-            spec = render.RenderSpec(
-                unit_shape=cfg.shape,
-                spacing_fraction=cfg.spacing_fraction,
-                background=colorspace.hex_to_rgb(cfg.background),
-                unit_radius_px=cfg.unit_radius_px,
-            )
-            svg = _run(
-                "swatch", render.render_plane_swatch_svg, plane, args.steps_u, args.steps_v, spec
-            )
-            out = Path(getattr(args, "out", None) or "swatch.svg")
-            _finish_stage(cfg, {out: svg})
-            return 0
-
-        raise ValueError(f"unknown command {command!r}")
+        if args.command == "pipeline":
+            print(json.dumps(cmd_pipeline(cfg), sort_keys=True))
+        elif args.command == "swatch":
+            svg = _run("swatch", lambda: render.render_plane_swatch_svg(
+                cfg.color_plane, args.steps_u, args.steps_v, cfg.render_spec))
+            _finish_stage(cfg, {Path(args.out or "swatch.svg"): svg})
+        else:
+            stage = {s.name: s for s in STAGES}[args.command]
+            inputs = [_load_payload(getattr(args, _dest(flag))) for flag, _ in stage.reads]
+            outputs = _run_stage(stage, inputs, cfg)
+            _finish_stage(cfg, {Path(getattr(args, _dest(flag)) or name): _text(payload)
+                                for (flag, name, _), payload in zip(stage.writes, outputs)})
+        return 0
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

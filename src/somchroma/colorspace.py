@@ -244,8 +244,9 @@ def colorize(embedding: np.ndarray, plane: ColorPlane) -> np.ndarray:
     pts = np.asarray(embedding, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected an Mx2 embedding, got {pts.shape}")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        bad = np.argwhere((pts < 0.0) | (pts > 1.0))[0]
+    outside = ~((pts >= 0.0) & (pts <= 1.0))  # NaN compares false both ways, so it is caught
+    if outside.any():
+        bad = np.argwhere(outside)[0]
         raise ValueError(
             f"embedding coordinate outside the unit square at row {bad[0]}, dim {bad[1]}"
         )

@@ -56,6 +56,8 @@ class RenderSpec:
             )
         if self.unit_radius_px <= 0 or self.label_font_size_px <= 0:
             raise ValueError("unit_radius_px and label_font_size_px must be positive")
+        if self.marker_radius_px is not None and self.marker_radius_px <= 0:
+            raise ValueError(f"marker_radius_px must be positive, got {self.marker_radius_px}")
         if self.marker_map is not None:
             for tag, shape in self.marker_map.items():
                 if shape not in MARKER_SHAPES:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -206,11 +207,60 @@ def test_failed_run_leaves_no_stale_manifest(tmp_path, iris_path, capsys):
     args = base_args(iris_path, tmp_path)
     assert cli.main(args) == 0
     args[args.index("--grid") + 1] = "5x5"
-    args[args.index("--plane") + 1] = "nope"
-    assert cli.main(args) == 1
-    assert "error in stage color" in capsys.readouterr().err
+    # only the data show that the marker map has no shape for 'versicolor'
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"marker_map": {"setosa": "circle"}}))
+    assert cli.main(args + ["--config", str(cfg_path)]) == 1
+    assert "error in stage render" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def small_run_config(out, **settings):
+    return {"class_column": "species", "rows": 3, "cols": 3, "epochs": 2, "out": str(out),
+            **settings}
+
+
+def run_with_config(config, tmp_path, iris_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    return cli.main(["pipeline", "--config", str(cfg_path), "--input", str(iris_path)])
+
+
+def file_bytes(directory):
+    """Every file's bytes, or None when the directory was never made."""
+    if not directory.exists():
+        return None
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh-out", "earlier-run-in-out"])
+@pytest.mark.parametrize("setting, stage", [
+    ({"plane": {"name": "x", "L_range": 5, "a_range": [-1, 1], "b_rule": 0}}, "color"),
+    ({"tolerance": 0}, "project"),
+    ({"shape": "square"}, "render"),
+    ({"epochs": 0}, "train"),
+], ids=["plane", "tolerance", "shape", "epochs"])
+def test_bad_setting_fails_before_any_write(tmp_path, iris_path, capsys, setting, stage,
+                                            earlier_run):
+    out = tmp_path / "out"
+    if earlier_run:
+        assert run_with_config(small_run_config(out), tmp_path, iris_path) == 0
+        assert set(file_bytes(out)) == set(ARTIFACTS) | {"manifest.json"}
+    before = file_bytes(out)
+    capsys.readouterr()
+    assert run_with_config(small_run_config(out, **setting), tmp_path, iris_path) == 1
+    assert f"error in stage {stage}: " in capsys.readouterr().err
+    assert file_bytes(out) == before
+
+
+def test_swatch_checks_the_full_render_settings(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"marker_radius_px": -5}))
+    out = tmp_path / "swatch.svg"
+    assert cli.main(["swatch", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error in stage swatch: marker_radius_px must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_write_keeps_old_artifact_and_drops_stage_manifest(pipeline_dir, tmp_path,
@@ -281,7 +331,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("config, message", [
     ([1, 2], "error: config must be a JSON object, got list"),
     ({"epochs": "40"}, "error: config key 'epochs' must be int, got str '40'"),
-], ids=["not-an-object", "wrong-type"])
+    ({"unit_radius_px": float("nan")}, "error: config key 'unit_radius_px' must be finite, got nan"),
+    ({"tolerance": math.inf}, "error: config key 'tolerance' must be finite, got inf"),
+], ids=["not-an-object", "wrong-type", "nan", "infinity"])
 def test_malformed_config_rejected_before_any_stage(tmp_path, iris_path, capsys, config, message):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -299,6 +351,24 @@ def test_malformed_config_rejected_before_any_stage(tmp_path, iris_path, capsys,
 def test_config_value_of_wrong_json_type_is_named(key, value):
     with pytest.raises(ValueError, match=f"^config key '{key}' must be "):
         cli.PipelineConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("unit_radius_px", float("nan")), ("tolerance", float("nan")), ("spacing_fraction", -math.inf),
+    ("marker_radius_px", math.inf), ("sigma_candidates", [0.5, float("nan")]),
+    ("plane", {"name": "x", "L_range": [30, math.inf], "a_range": [-1, 1], "b_rule": 0}),
+])
+def test_non_finite_config_number_is_named(key, value):
+    with pytest.raises(ValueError, match=f"^config key '{key}' must be finite, got "):
+        cli.PipelineConfig.from_dict({key: value})
+
+
+def test_non_finite_flag_value_is_rejected(tmp_path, iris_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--input", str(iris_path), "--grid", "3x3",
+                     "--unit-radius", "nan", "--out", str(out)]) == 1
+    assert "error: config key 'unit_radius_px' must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_threads_key_rejected(tmp_path, capsys):

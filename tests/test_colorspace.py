@@ -250,6 +250,15 @@ def test_colorize_rejects_out_of_square():
         colorize(np.array([[0.5, 1.2]]), cgr)
 
 
+@pytest.mark.parametrize("rows, where", [
+    ([[np.nan, 0.5]], "row 0, dim 0"),
+    ([[0.2, 0.3], [0.5, np.nan]], "row 1, dim 1"),
+])
+def test_colorize_rejects_nan_coordinates(rows, where):
+    with pytest.raises(ValueError, match=f"outside the unit square at {where}"):
+        colorize(np.array(rows), get_plane("cyan-gray-red"))
+
+
 def test_rgb_to_hex_rounds_half_up():
     assert rgb_to_hex(RgbColor(0.0, 0.0, 0.0)) == "#000000"
     assert rgb_to_hex(RgbColor(1.0, 1.0, 1.0)) == "#FFFFFF"

@@ -157,6 +157,12 @@ def test_render_som_labels_above_units():
     assert_within_viewbox(svg)
 
 
+@pytest.mark.parametrize("radius", [-5.0, 0.0])
+def test_render_spec_rejects_non_positive_marker_radius(radius):
+    with pytest.raises(ValueError, match=f"marker_radius_px must be positive, got {radius}"):
+        RenderSpec(marker_radius_px=radius)
+
+
 def test_render_som_rejects_color_mismatch():
     grid = make_grid(2, 2)
     with pytest.raises(ValueError, match="3 colors for 4 units"):
