@@ -109,17 +109,30 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "schema_version": SCHEMA_VERSION}
 
+    @property
+    def auto_sigma(self) -> bool:
+        """Whether train picks sigma_final among the candidates by goodness."""
+        return self.sigma_final is None and self.rows * self.cols >= 2
+
     @functools.cached_property
     def train_config(self) -> som.TrainConfig:
         if self.rows is None or self.cols is None:
             raise ValueError("no grid shape configured (--grid RxC)")
-        return som.TrainConfig(
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("grid must have at least one row and one column")
+        tc = som.TrainConfig(
             epochs=self.epochs,
             sigma_initial=self.sigma_initial,
             sigma_final=self.sigma_final,
             seed=self.seed,
             sigma_candidates=tuple(self.sigma_candidates) if self.sigma_candidates else None,
         )
+        # the sigma checks train would make, made before anything is written
+        if self.auto_sigma:
+            tc.resolved_candidates(tc.resolved_initial(self.rows, self.cols))
+        else:
+            tc.resolved_sigmas(self.rows, self.cols)
+        return tc
 
     @functools.cached_property
     def projection_config(self) -> projection.ProjectionConfig:
@@ -257,8 +270,7 @@ def _data_from_payload(payload: dict) -> DataMatrix:
 def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
     data = _data_from_payload(std_payload)
     tc = cfg.train_config
-    auto = cfg.sigma_final is None and cfg.rows * cfg.cols >= 2
-    if auto:
+    if cfg.auto_sigma:
         sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, tc)
         print(f"selected sigma_final={sigma_final}", file=sys.stderr)
     else:

@@ -64,9 +64,10 @@ class ProjectionConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.tolerance <= 0:
+        # negated comparisons, so that NaN fails too
+        if not (self.tolerance > 0):
             raise ValueError("tolerance must be positive")
-        if self.repulsion_t is not None and self.repulsion_t < 0:
+        if self.repulsion_t is not None and not (self.repulsion_t >= 0):
             raise ValueError("repulsion_t must be nonnegative")
 
 

@@ -54,9 +54,10 @@ class RenderSpec:
             raise ValueError(
                 f"spacing_fraction must be in [0, 0.5), got {self.spacing_fraction}"
             )
-        if self.unit_radius_px <= 0 or self.label_font_size_px <= 0:
+        # negated comparisons, so that NaN fails too
+        if not (self.unit_radius_px > 0 and self.label_font_size_px > 0):
             raise ValueError("unit_radius_px and label_font_size_px must be positive")
-        if self.marker_radius_px is not None and self.marker_radius_px <= 0:
+        if self.marker_radius_px is not None and not (self.marker_radius_px > 0):
             raise ValueError(f"marker_radius_px must be positive, got {self.marker_radius_px}")
         if self.marker_map is not None:
             for tag, shape in self.marker_map.items():

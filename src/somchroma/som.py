@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .dataset import DataMatrix
 from .envelope import check_envelope, envelope, field, finite_matrix
@@ -40,9 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_SIGMA_CANDIDATES = (0.4, 0.7, 1.0, 1.5, 2.0)
-
-# planar distance between lattice-adjacent hex units is exactly 1
-_ADJACENCY_TOL = 1e-9
 
 
 def hex_positions(rows: int, cols: int) -> np.ndarray:
@@ -110,12 +105,16 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
-    def resolved_sigmas(self, rows: int, cols: int) -> tuple[float, float]:
+    def resolved_initial(self, rows: int, cols: int) -> float:
         si = self.sigma_initial if self.sigma_initial is not None else max(rows, cols) / 2.0
+        return float(si)
+
+    def resolved_sigmas(self, rows: int, cols: int) -> tuple[float, float]:
+        si = self.resolved_initial(rows, cols)
         sf = self.sigma_final if self.sigma_final is not None else min(1.0, si)
         if not (0.0 < sf <= si):
             raise ValueError(f"need 0 < sigma_final <= sigma_initial, got {sf} > {si}")
-        return float(si), float(sf)
+        return si, float(sf)
 
     def resolved_candidates(self, sigma_initial: float) -> tuple[float, ...]:
         if self.sigma_candidates is None:
@@ -377,31 +376,73 @@ def quantization_error(grid: SomGrid, data: DataMatrix) -> float:
     return _mean_bmu_distance(data.values, grid, bmu_indices(data.values, grid))
 
 
-def _adjacency_pairs(grid: SomGrid) -> np.ndarray:
-    pos = grid.unit_positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    i, j = np.nonzero(np.abs(dist - 1.0) <= _ADJACENCY_TOL)
-    keep = i < j
-    return np.column_stack([i[keep], j[keep]])
+def _neighbor_table(grid: SomGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Each unit's lattice neighbors and the reference-vector distances to them.
 
-
-def _reference_path_lengths(grid: SomGrid, sources: np.ndarray) -> np.ndarray:
-    """Shortest paths from each unit in `sources` over the hex adjacency graph.
-
-    Edge weights are input-space distances between adjacent units' reference
-    vectors; computed exactly with Dijkstra.
+    Returns two M x 6 arrays; a missing neighbor is the unit itself at weight
+    inf. Row r + 1 sits half a unit right of row r when r is even and half a
+    unit left when r is odd (see hex_positions), so unit (r, c) touches
+    (r, c + 1) and columns c + r % 2 - 1 and c + r % 2 of row r + 1. Slots
+    0-2 hold those edges and slots 3-5 the same edges seen from their far end.
     """
-    pairs = _adjacency_pairs(grid)
+    rows, cols, m = grid.rows, grid.cols, grid.m
+    r, c = np.divmod(np.arange(m), cols)
+    left = c + r % 2 - 1
+    next_r = np.column_stack([r, r + 1, r + 1])
+    next_c = np.column_stack([c + 1, left, left + 1])
+    i, k = np.nonzero((next_r < rows) & (next_c >= 0) & (next_c < cols))
+    j = next_r[i, k] * cols + next_c[i, k]
     vec = grid.reference_vectors
-    w = np.linalg.norm(vec[pairs[:, 0]] - vec[pairs[:, 1]], axis=1)
-    graph = csr_matrix(
-        (np.concatenate([w, w]),
-         (np.concatenate([pairs[:, 0], pairs[:, 1]]),
-          np.concatenate([pairs[:, 1], pairs[:, 0]]))),
-        shape=(grid.m, grid.m),
-    )
-    return dijkstra(graph, directed=False, indices=sources)
+    w = np.linalg.norm(vec[i] - vec[j], axis=1)
+    neighbors = np.repeat(np.arange(m)[:, None], 6, axis=1)
+    weights = np.full((m, 6), np.inf)
+    neighbors[i, k], weights[i, k] = j, w
+    neighbors[j, k + 3], weights[j, k + 3] = i, w
+    return neighbors, weights
+
+
+def _reference_path_lengths(grid: SomGrid, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Shortest path from unit starts[i] to unit ends[i], for each i.
+
+    Steps move between lattice-adjacent units and cost the input-space
+    distance between their reference vectors. Dijkstra's search runs from
+    every distinct start at once, settling one unit per start per step, and a
+    start stops once all its ends are settled. The weights are nonnegative
+    and a rounded addition fl(d + w) is never below d and is monotone in d,
+    so a settled length is the least left-to-right rounded sum over all paths
+    (Knuth 1977, "A generalization of Dijkstra's algorithm"): the same float
+    that any exact shortest-path search over these weights returns.
+    """
+    neighbors, weights = _neighbor_table(grid)
+    sources, row = np.unique(starts, return_inverse=True)
+    pending = np.zeros((len(sources), grid.m), dtype=bool)
+    pending[row, ends] = True
+    left = pending.sum(axis=1)
+    dist = np.full((len(sources), grid.m), np.inf)
+    dist[np.arange(len(sources)), sources] = 0.0
+    frontier = dist.copy()  # dist of the units not yet settled, inf once settled
+    lengths = np.empty_like(dist)
+    active = np.arange(len(sources))  # the start each row of the arrays belongs to
+    while active.size:
+        at = np.arange(active.size)
+        u = frontier.argmin(axis=1)
+        du = frontier[at, u]
+        frontier[at, u] = np.inf
+        left -= pending[at, u]
+        # a settled unit already has dist <= du <= fl(du + w), so it never improves
+        v = neighbors[u]
+        via_u = du[:, None] + weights[u]
+        better = via_u < dist[at[:, None], v]
+        at_b, v_b = np.nonzero(better)[0], v[better]
+        dist[at_b, v_b] = frontier[at_b, v_b] = via_u[better]
+        done = (left == 0) | (du == np.inf)  # inf: the rest is unreachable
+        if done.any():
+            lengths[active[done]] = dist[done]
+            keep = ~done
+            active, dist, frontier, pending, left = (
+                active[keep], dist[keep], frontier[keep], pending[keep], left[keep]
+            )
+    return lengths[row, ends]
 
 
 def goodness(grid: SomGrid, data: DataMatrix) -> float:
@@ -417,9 +458,7 @@ def goodness(grid: SomGrid, data: DataMatrix) -> float:
     # ranked by distance, not its square, with ties to the lower index
     nearest, squared = _nearest(data.values, grid.reference_vectors, 2, np.sqrt)
     best, second = nearest.T
-    sources = np.unique(best)
-    paths = _reference_path_lengths(grid, sources)
-    path_dist = paths[np.searchsorted(sources, best), second]
+    path_dist = _reference_path_lengths(grid, best, second)
     return float(np.mean(np.sqrt(squared[:, 1]) + path_dist))
 
 
@@ -432,8 +471,7 @@ def select_sigma(
     result and its goodness; goodness ties within 1e-12 resolve to the
     smaller sigma.
     """
-    si = config.sigma_initial if config.sigma_initial is not None else max(rows, cols) / 2.0
-    si = float(si)
+    si = config.resolved_initial(rows, cols)
     candidates = sorted(config.resolved_candidates(si))
     results = []
     for sf in candidates:

@@ -240,7 +240,11 @@ def file_bytes(directory):
     ({"tolerance": 0}, "project"),
     ({"shape": "square"}, "render"),
     ({"epochs": 0}, "train"),
-], ids=["plane", "tolerance", "shape", "epochs"])
+    ({"rows": 0}, "train"),
+    ({"sigma_initial": 0.5, "sigma_final": 2}, "train"),
+    ({"sigma_candidates": [9.0]}, "train"),
+], ids=["plane", "tolerance", "shape", "epochs", "grid-0x3", "sigma-final-above-initial",
+        "sigma-candidate-above-initial"])
 def test_bad_setting_fails_before_any_write(tmp_path, iris_path, capsys, setting, stage,
                                             earlier_run):
     out = tmp_path / "out"
@@ -378,14 +382,35 @@ def test_manifest_threads_key_rejected(tmp_path, capsys):
     assert "unknown config keys: ['threads']" in capsys.readouterr().err
 
 
+def subprocess_env(**extra):
+    """os.environ plus `extra`, with this checkout's somchroma first on PYTHONPATH."""
+    src = str(Path(somchroma.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_pipeline_loads_no_scipy(tmp_path, iris_path):
+    # scipy is a test dependency only; a CLI run must not import it
+    argv = ["pipeline", "--input", str(iris_path), "--class-column", "species", "--grid", "6x7",
+            "--method", "sammon", "--seed", "0", "--out", str(tmp_path / "out")]
+    code = ("import sys\n"
+            "import somchroma.cli\n"
+            f"status = somchroma.cli.main({argv!r})\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "sys.exit(status)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
 def checksums_at_blas_threads(argv, tmp_path):
     """Manifest checksums of `somchroma pipeline <argv>` under OPENBLAS_NUM_THREADS 1 and 2."""
-    src = str(Path(somchroma.__file__).resolve().parents[1])
     checksums = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "somchroma", "pipeline", *argv, "--out", str(out)],
                        env=env, check=True, capture_output=True)
         checksums.append(json.loads((out / "manifest.json").read_text())["artifacts"])

@@ -291,6 +291,12 @@ def test_project_stress_equals_public_stress_bitwise(method):
     assert result.stress == expected
 
 
+@pytest.mark.parametrize("name", ["tolerance", "repulsion_t"])
+def test_projection_config_rejects_nan(name):
+    with pytest.raises(ValueError, match=name):
+        ProjectionConfig(**{name: float("nan")})
+
+
 def test_project_rejects_coincident_rows_for_sammon():
     x = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="coincide"):

@@ -163,6 +163,14 @@ def test_render_spec_rejects_non_positive_marker_radius(radius):
         RenderSpec(marker_radius_px=radius)
 
 
+@pytest.mark.parametrize("name", [
+    "unit_radius_px", "label_font_size_px", "marker_radius_px", "spacing_fraction",
+])
+def test_render_spec_rejects_nan(name):
+    with pytest.raises(ValueError, match=name):
+        RenderSpec(**{name: float("nan")})
+
+
 def test_render_som_rejects_color_mismatch():
     grid = make_grid(2, 2)
     with pytest.raises(ValueError, match="3 colors for 4 units"):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from somchroma import som
 from somchroma.dataset import DataMatrix
@@ -315,12 +317,27 @@ def brute_force_squared(values, vectors):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def scipy_reference_paths(grid, sources=None):
+    """Oracle: scipy's Dijkstra over units at planar distance 1, found by scanning all pairs."""
+    pos = grid.unit_positions
+    diff = pos[:, None, :] - pos[None, :, :]
+    i, j = np.nonzero(np.abs(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) - 1.0) <= 1e-9)
+    i, j = i[i < j], j[i < j]
+    vec = grid.reference_vectors
+    w = np.linalg.norm(vec[i] - vec[j], axis=1)
+    graph = csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(grid.m, grid.m),
+    )
+    return dijkstra(graph, directed=False, indices=sources)
+
+
 def brute_force_search_goodness(grid, data):
     """Oracle: goodness from the full distance matrix, a stable argsort and all-pairs paths."""
     dist = np.sqrt(brute_force_squared(data.values, grid.reference_vectors))
     order = np.argsort(dist, axis=1, kind="stable")
     best, second = order[:, 0], order[:, 1]
-    paths = som._reference_path_lengths(grid, None)
+    paths = scipy_reference_paths(grid)
     return float(np.mean(dist[np.arange(data.n_rows), second] + paths[best, second]))
 
 
@@ -430,6 +447,58 @@ def test_nearest_unit_search_random_adversarial_cases():
         if rng.random() < 0.3:  # a coarse lattice makes exact ties common
             vectors, values = np.round(vectors / scale) * scale, np.round(values / scale) * scale
         assert_search_matches_brute_force(*_on_grid(values, vectors, m))
+
+
+def _path_grid(vectors, cols):
+    rows = len(vectors) // cols
+    return SomGrid(rows, cols, hex_positions(rows, cols), vectors)
+
+
+def _path_grid_cases():
+    rng = np.random.default_rng(31)
+    cases = {}
+    for _ in range(24):
+        rows, cols = (int(x) for x in rng.integers(1, 20, size=2))
+        if rows * cols >= 2:
+            vectors = rng.standard_normal((rows * cols, int(rng.integers(1, 17))))
+            cases[f"random-{rows}x{cols}"] = _path_grid(vectors, cols)
+    cases["1x17"] = _path_grid(rng.standard_normal((17, 4)), 17)
+    cases["17x1"] = _path_grid(rng.standard_normal((17, 4)), 1)
+    duplicated = rng.standard_normal((42, 4))
+    duplicated[[1, 7, 8, 15, 20]] = duplicated[14]  # zero-weight edges
+    cases["duplicated-units"] = _path_grid(duplicated, 7)
+    # a coarse lattice: many equal weights and equal path sums
+    cases["rounded-ties"] = _path_grid(np.round(rng.standard_normal((99, 3))), 11)
+    for scale in (1e-150, 1e150):
+        cases[f"scale-{scale:g}"] = _path_grid(scale * rng.standard_normal((72, 6)), 9)
+    huge = rng.standard_normal((56, 5))
+    huge[rng.random(56) < 0.4] *= 1e200  # the edge norms of these units overflow to inf
+    cases["inf-edges"] = _path_grid(huge, 8)
+    return cases
+
+
+PATH_GRIDS = _path_grid_cases()
+
+
+@pytest.mark.parametrize("case", list(PATH_GRIDS))
+def test_reference_paths_match_scipy_dijkstra_bitwise(case):
+    grid = PATH_GRIDS[case]
+    m = grid.m
+    with np.errstate(over="ignore"):
+        expected = scipy_reference_paths(grid)
+        every = som._reference_path_lengths(grid, np.repeat(np.arange(m), m), np.tile(np.arange(m), m))
+        assert np.array_equal(every.reshape(m, m).view(np.uint64), expected.view(np.uint64))
+        rng = np.random.default_rng(m)
+        sources = np.unique(rng.integers(0, m, size=max(1, m // 3)))
+        starts = rng.choice(sources, size=3 * m)
+        ends = rng.integers(0, m, size=3 * m)
+        some = som._reference_path_lengths(grid, starts, ends)
+        subset = scipy_reference_paths(grid, sources)[np.searchsorted(sources, starts), ends]
+        assert np.array_equal(some.view(np.uint64), subset.view(np.uint64))
+    if case == "inf-edges":
+        assert np.isinf(expected).any() and (np.isfinite(expected) & (expected > 0)).any()
+    if case == "duplicated-units":
+        assert expected[14, 1] == 0.0
 
 
 def test_bmu_search_memory_is_bounded_by_a_block():
