@@ -69,7 +69,7 @@ class PipelineConfig:
     swap_axes: bool = False
     shape: str = render.RenderSpec.unit_shape
     spacing_fraction: float = render.RenderSpec.spacing_fraction
-    background: str = colorspace.rgb_to_hex(render.RenderSpec.background)
+    background: str = render.RenderSpec.background
     unit_radius_px: float = render.RenderSpec.unit_radius_px
     label_font_size_px: float = render.RenderSpec.label_font_size_px
     marker_radius_px: float | None = None
@@ -136,7 +136,7 @@ class PipelineConfig:
 
     @functools.cached_property
     def projection_config(self) -> projection.ProjectionConfig:
-        return projection.ProjectionConfig(
+        pc = projection.ProjectionConfig(
             method=self.method,
             k_neighbors=self.k_neighbors,
             repulsion_t=self.repulsion_t,
@@ -144,6 +144,12 @@ class PipelineConfig:
             tolerance=self.tolerance,
             seed=self.seed,
         )
+        # the neighbor-count check project would make, made before anything is written
+        if pc.method == "lmds" and pc.k_neighbors is not None and None not in (self.rows, self.cols):
+            m = self.rows * self.cols
+            if pc.k_neighbors >= m:
+                raise ValueError(f"k must satisfy 1 <= k < {m}, got {pc.k_neighbors}")
+        return pc
 
     @functools.cached_property
     def color_plane(self) -> ColorPlane:
@@ -154,7 +160,7 @@ class PipelineConfig:
         return render.RenderSpec(
             unit_shape=self.shape,
             spacing_fraction=self.spacing_fraction,
-            background=colorspace.hex_to_rgb(self.background),
+            background=self.background,
             unit_radius_px=self.unit_radius_px,
             label_font_size_px=self.label_font_size_px,
             marker_radius_px=self.marker_radius_px,

@@ -13,6 +13,7 @@ under the sRGB matrix, which makes L*=100 map to exact display white.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -270,13 +271,11 @@ def rgb_to_hex(c: RgbColor) -> str:
 
 
 def hex_to_rgb(text: str) -> RgbColor:
-    """Parse #RRGGBB into channel floats in [0, 1]."""
-    if not (len(text) == 7 and text.startswith("#")):
+    """Parse #RRGGBB (exactly '#' and six ASCII hex digits) into channels in [0, 1]."""
+    # int(..., 16) alone would also take signs, spaces and non-ASCII digits
+    if not (isinstance(text, str) and re.fullmatch("#[0-9A-Fa-f]{6}", text)):
         raise ValueError(f"expected a #RRGGBB color, got {text!r}")
-    try:
-        r, g, b = (int(text[i:i + 2], 16) for i in (1, 3, 5))
-    except ValueError:
-        raise ValueError(f"expected a #RRGGBB color, got {text!r}") from None
+    r, g, b = (int(text[i:i + 2], 16) for i in (1, 3, 5))
     return RgbColor(r / 255.0, g / 255.0, b / 255.0)
 
 

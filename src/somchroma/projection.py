@@ -64,6 +64,8 @@ class ProjectionConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        if self.k_neighbors is not None and self.k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         # negated comparisons, so that NaN fails too
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be positive")
@@ -204,7 +206,7 @@ def lmds_stress(dx: np.ndarray, y: np.ndarray, neighbors, t: float) -> float:
     """Localized stress: attraction on neighbor pairs, distance-proportional
     repulsion (weight t) on all other pairs."""
     _check_sizes(dx, y)
-    if t < 0:
+    if not (t >= 0):  # negated, so that NaN fails too
         raise ValueError("repulsion weight t must be nonnegative")
     stress, _ = _objective("lmds", dx, _neighbor_mask(dx.shape[0], neighbors), t)
     return stress(pairwise_distances(y))

@@ -14,7 +14,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .colorspace import ColorPlane, RgbColor, colorize, hex_colors, rgb_to_hex
+from .colorspace import ColorPlane, colorize, hex_colors, hex_to_rgb
 from .som import SomGrid
 
 __all__ = [
@@ -41,13 +41,15 @@ class RenderSpec:
 
     unit_shape: str = "circle"
     spacing_fraction: float = 0.15
-    background: RgbColor = RgbColor(1.0, 1.0, 1.0)
+    background: str = "#FFFFFF"
     unit_radius_px: float = 18.0
     label_font_size_px: float = 11.0
     marker_map: dict[str, str] | None = None
     marker_radius_px: float | None = None
 
     def __post_init__(self):
+        hex_to_rgb(self.background)  # raises unless #RRGGBB
+        object.__setattr__(self, "background", self.background.upper())
         if self.unit_shape not in ("circle", "hexagon"):
             raise ValueError(f"unit_shape must be circle or hexagon, got {self.unit_shape!r}")
         if not 0.0 <= self.spacing_fraction < 0.5:
@@ -119,10 +121,10 @@ def _svg_open(width: float, height: float) -> list[str]:
     ]
 
 
-def _background(width: float, height: float, color: RgbColor) -> str:
+def _background(width: float, height: float, color: str) -> str:
     return (
         f'<rect x="0.000" y="0.000" width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'fill="{rgb_to_hex(color)}"/>'
+        f'fill="{color}"/>'
     )
 
 

@@ -58,23 +58,23 @@ class SomGrid:
 
     rows: int
     cols: int
-    unit_positions: np.ndarray
     reference_vectors: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.unit_positions, dtype=float)
         vec = np.asarray(self.reference_vectors, dtype=float)
-        object.__setattr__(self, "unit_positions", pos)
         object.__setattr__(self, "reference_vectors", vec)
         m = self.rows * self.cols
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column")
-        if pos.shape != (m, 2):
-            raise ValueError(f"unit_positions shape {pos.shape}, expected {(m, 2)}")
         if vec.ndim != 2 or vec.shape[0] != m:
             raise ValueError(f"reference_vectors shape {vec.shape}, expected ({m}, n)")
         if not np.all(np.isfinite(vec)):
             raise ValueError("reference vectors must be finite")
+
+    @property
+    def unit_positions(self) -> np.ndarray:
+        """Planar unit coordinates: always hex_positions(rows, cols)."""
+        return hex_positions(self.rows, self.cols)
 
     @property
     def m(self) -> int:
@@ -142,7 +142,6 @@ class TrainResult:
     grid: SomGrid
     sigmas: tuple[float, ...]
     quantization_errors: tuple[float, ...]
-    seed: int
 
 
 def _principal_axes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +205,7 @@ def init_grid(rows: int, cols: int, data: DataMatrix, seed: int = 0) -> SomGrid:
         + np.outer(t1 * spans[0], axes[0])
         + np.outer(t2 * spans[1], axes[1])
     )
-    return SomGrid(rows, cols, hex_positions(rows, cols), vectors)
+    return SomGrid(rows, cols, vectors)
 
 
 def bmu(x: np.ndarray, grid: SomGrid) -> int:
@@ -340,7 +339,7 @@ def batch_epoch(
     vectors = grid.reference_vectors.copy()
     alive = den > 0.0
     vectors[alive] = num[alive] / den[alive, None]
-    return SomGrid(grid.rows, grid.cols, grid.unit_positions, vectors)
+    return SomGrid(grid.rows, grid.cols, vectors)
 
 
 def sigma_schedule(sigma_initial: float, sigma_final: float, epochs: int) -> tuple[float, ...]:
@@ -363,7 +362,7 @@ def train(data: DataMatrix, rows: int, cols: int, config: TrainConfig) -> TrainR
         # one search per grid: this grid's error and the next epoch's update
         bmus = bmu_indices(data.values, grid)
         errors.append(_mean_bmu_distance(data.values, grid, bmus))
-    return TrainResult(grid, sigmas, tuple(errors), config.seed)
+    return TrainResult(grid, sigmas, tuple(errors))
 
 
 def _mean_bmu_distance(values: np.ndarray, grid: SomGrid, bmus: np.ndarray) -> float:
@@ -504,5 +503,4 @@ def grid_from_dict(payload: dict) -> tuple[SomGrid, dict]:
     check_envelope(payload, "som_grid")
     rows, cols, dim = (int(field(payload, "som_grid", k)) for k in ("rows", "cols", "dim"))
     vectors = finite_matrix(payload, "som_grid", "reference_vectors", dim)
-    grid = SomGrid(rows, cols, hex_positions(rows, cols), vectors)
-    return grid, dict(payload.get("training_metadata", {}))
+    return SomGrid(rows, cols, vectors), dict(payload.get("training_metadata", {}))

@@ -243,8 +243,11 @@ def file_bytes(directory):
     ({"rows": 0}, "train"),
     ({"sigma_initial": 0.5, "sigma_final": 2}, "train"),
     ({"sigma_candidates": [9.0]}, "train"),
+    ({"background": "#-1-1-1"}, "render"),
+    ({"method": "lmds", "k_neighbors": 0}, "project"),
+    ({"method": "lmds", "k_neighbors": 9}, "project"),
 ], ids=["plane", "tolerance", "shape", "epochs", "grid-0x3", "sigma-final-above-initial",
-        "sigma-candidate-above-initial"])
+        "sigma-candidate-above-initial", "background-signed", "lmds-k-0", "lmds-k-all-units"])
 def test_bad_setting_fails_before_any_write(tmp_path, iris_path, capsys, setting, stage,
                                             earlier_run):
     out = tmp_path / "out"

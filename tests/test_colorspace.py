@@ -288,8 +288,10 @@ def test_hex_colors_rejects_non_mx3_or_non_finite(bad):
 def test_hex_to_rgb_roundtrip():
     assert hex_to_rgb("#8000FF") == RgbColor(128 / 255.0, 0.0, 1.0)
     assert rgb_to_hex(hex_to_rgb("#1A2B3C")) == "#1A2B3C"
-    with pytest.raises(ValueError, match="RRGGBB"):
-        hex_to_rgb("white")
+    # int(..., 16) takes each of these pairs; the parser must not
+    for text in ("white", "#-1-1-1", "# 1 1 1", "#+F+F+F", "#\u0661\u0662\u0663\u0664\u0665\u0666"):
+        with pytest.raises(ValueError, match="RRGGBB"):
+            hex_to_rgb(text)
 
 
 # ----------------------------------------------------------------------------

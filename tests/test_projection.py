@@ -166,6 +166,13 @@ def test_lmds_stress_matches_brute_force():
     assert abs(lmds_stress(dx, y, pairs, 0.1) - brute_lmds(dx, y, pairs, 0.1)) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_lmds_stress_rejects_bad_repulsion_weight(t):
+    dx = pairwise_distances(np.eye(3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        lmds_stress(dx, np.zeros((3, 2)), {(0, 1)}, t)
+
+
 # ----------------------------------------------------------------------------
 # neighbor pairs
 
@@ -295,6 +302,12 @@ def test_project_stress_equals_public_stress_bitwise(method):
 def test_projection_config_rejects_nan(name):
     with pytest.raises(ValueError, match=name):
         ProjectionConfig(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_projection_config_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match="k_neighbors must be >= 1"):
+        ProjectionConfig(method="lmds", k_neighbors=k)
 
 
 def test_project_rejects_coincident_rows_for_sammon():

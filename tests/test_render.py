@@ -23,7 +23,7 @@ from somchroma.render import (
     render_scatter_svg,
     render_som_svg,
 )
-from somchroma.som import SomGrid, hex_positions
+from somchroma.som import SomGrid
 
 from conftest import assert_svg_coordinates_within_viewbox as assert_within_viewbox
 from conftest import svg_view_box
@@ -31,7 +31,7 @@ from conftest import svg_view_box
 
 def make_grid(rows, cols, dim=3, seed=0):
     rng = np.random.default_rng(seed)
-    return SomGrid(rows, cols, hex_positions(rows, cols), rng.standard_normal((rows * cols, dim)))
+    return SomGrid(rows, cols, rng.standard_normal((rows * cols, dim)))
 
 
 def gray_colors(m):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -59,7 +60,7 @@ def brute_force_goodness(grid, data):
 
 
 def two_unit_grid(vectors):
-    return SomGrid(1, 2, hex_positions(1, 2), np.asarray(vectors, dtype=float))
+    return SomGrid(1, 2, np.asarray(vectors, dtype=float))
 
 
 # ----------------------------------------------------------------------------
@@ -81,6 +82,14 @@ def test_hex_positions_neighbor_distance(rows, cols):
     adjacent = np.abs(dists - 1.0) <= 1e-12
     assert adjacent.sum() > 0
     assert np.all(np.abs(dists[adjacent] - 1.0) <= 1e-12)
+
+
+def test_grid_holds_only_its_shape_and_vectors():
+    grid = SomGrid(3, 4, np.zeros((12, 2)))
+    assert [f.name for f in dataclasses.fields(grid)] == ["rows", "cols", "reference_vectors"]
+    assert np.array_equal(grid.unit_positions, hex_positions(3, 4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.unit_positions = np.zeros((12, 2))
 
 
 # ----------------------------------------------------------------------------
@@ -141,7 +150,7 @@ def test_bmu_dimension_mismatch():
 
 def test_bmu_identifies_own_unit():
     rng = np.random.default_rng(2)
-    grid = SomGrid(2, 3, hex_positions(2, 3), rng.standard_normal((6, 4)))
+    grid = SomGrid(2, 3, rng.standard_normal((6, 4)))
     for i in range(grid.m):
         assert bmu(grid.reference_vectors[i], grid) == i
 
@@ -162,7 +171,7 @@ def test_batch_epoch_huge_sigma_gives_global_mean():
     rng = np.random.default_rng(8)
     values = rng.standard_normal((15, 3))
     data = DataMatrix(values, ["a", "b", "c"])
-    grid = SomGrid(2, 3, hex_positions(2, 3), rng.standard_normal((6, 3)))
+    grid = SomGrid(2, 3, rng.standard_normal((6, 3)))
     new = batch_epoch(grid, data, sigma=1e6)
     assert np.max(np.abs(new.reference_vectors - values.mean(axis=0))) <= 1e-9
 
@@ -270,7 +279,7 @@ def test_quantization_error_zero_when_data_on_units():
 
 
 def test_quantization_error_single_unit():
-    grid = SomGrid(1, 1, hex_positions(1, 1), np.array([[0.0, 0.0]]))
+    grid = SomGrid(1, 1, np.array([[0.0, 0.0]]))
     data = DataMatrix(np.array([[0.0, 1.0], [0.0, -1.0]]), ["x", "y"])
     assert quantization_error(grid, data) == 1.0
 
@@ -286,13 +295,13 @@ def test_goodness_point_on_unit_with_adjacent_second():
 def test_goodness_matches_exhaustive_paths():
     rng = np.random.default_rng(17)
     for trial in range(5):
-        grid = SomGrid(2, 2, hex_positions(2, 2), rng.standard_normal((4, 3)))
+        grid = SomGrid(2, 2, rng.standard_normal((4, 3)))
         data = DataMatrix(rng.standard_normal((10, 3)), ["a", "b", "c"])
         assert abs(goodness(grid, data) - brute_force_goodness(grid, data)) <= 1e-12
 
 
 def test_goodness_single_unit_rejected():
-    grid = SomGrid(1, 1, hex_positions(1, 1), np.array([[0.0]]))
+    grid = SomGrid(1, 1, np.array([[0.0]]))
     data = DataMatrix(np.array([[0.5], [1.5]]), ["x"])
     with pytest.raises(ValueError, match="at least 2 units"):
         goodness(grid, data)
@@ -300,7 +309,7 @@ def test_goodness_single_unit_rejected():
 
 def test_goodness_bounded_below_by_second_distance():
     rng = np.random.default_rng(23)
-    grid = SomGrid(3, 3, hex_positions(3, 3), rng.standard_normal((9, 4)))
+    grid = SomGrid(3, 3, rng.standard_normal((9, 4)))
     data = DataMatrix(rng.standard_normal((25, 4)), list("abcd"))
     diff = data.values[:, None, :] - grid.reference_vectors[None, :, :]
     dist = np.sqrt((diff ** 2).sum(-1))
@@ -343,7 +352,7 @@ def brute_force_search_goodness(grid, data):
 
 def _on_grid(values, vectors, cols):
     rows = len(vectors) // cols
-    return values, SomGrid(rows, cols, hex_positions(rows, cols), vectors)
+    return values, SomGrid(rows, cols, vectors)
 
 
 def _duplicated_units(rng):
@@ -451,7 +460,7 @@ def test_nearest_unit_search_random_adversarial_cases():
 
 def _path_grid(vectors, cols):
     rows = len(vectors) // cols
-    return SomGrid(rows, cols, hex_positions(rows, cols), vectors)
+    return SomGrid(rows, cols, vectors)
 
 
 def _path_grid_cases():
@@ -504,7 +513,7 @@ def test_reference_paths_match_scipy_dijkstra_bitwise(case):
 def test_bmu_search_memory_is_bounded_by_a_block():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((4000, 30))
-    grid = SomGrid(20, 20, hex_positions(20, 20), rng.standard_normal((400, 30)))
+    grid = SomGrid(20, 20, rng.standard_normal((400, 30)))
     tracemalloc.start()
     try:
         bmu_indices(values, grid)
