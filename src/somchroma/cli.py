@@ -109,29 +109,18 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "schema_version": SCHEMA_VERSION}
 
-    @property
-    def auto_sigma(self) -> bool:
-        """Whether train picks sigma_final among the candidates by goodness."""
-        return self.sigma_final is None and self.rows * self.cols >= 2
-
     @functools.cached_property
     def train_config(self) -> som.TrainConfig:
         if self.rows is None or self.cols is None:
             raise ValueError("no grid shape configured (--grid RxC)")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one row and one column")
         tc = som.TrainConfig(
             epochs=self.epochs,
             sigma_initial=self.sigma_initial,
             sigma_final=self.sigma_final,
             seed=self.seed,
-            sigma_candidates=tuple(self.sigma_candidates) if self.sigma_candidates else None,
+            sigma_candidates=None if self.sigma_candidates is None else tuple(self.sigma_candidates),
         )
-        # the sigma checks train would make, made before anything is written
-        if self.auto_sigma:
-            tc.resolved_candidates(tc.resolved_initial(self.rows, self.cols))
-        else:
-            tc.resolved_sigmas(self.rows, self.cols)
+        tc.final_sigmas(self.rows, self.cols)  # train's checks, made before anything is written
         return tc
 
     @functools.cached_property
@@ -146,9 +135,7 @@ class PipelineConfig:
         )
         # the neighbor-count check project would make, made before anything is written
         if pc.method == "lmds" and pc.k_neighbors is not None and None not in (self.rows, self.cols):
-            m = self.rows * self.cols
-            if pc.k_neighbors >= m:
-                raise ValueError(f"k must satisfy 1 <= k < {m}, got {pc.k_neighbors}")
+            pc.neighbor_count(self.rows * self.cols)
         return pc
 
     @functools.cached_property
@@ -215,16 +202,6 @@ def _load_payload(path) -> dict:
         return json.load(fh)
 
 
-def _write_manifest(path: Path, cfg: PipelineConfig, checksums: dict[str, str]) -> None:
-    payload = {
-        **envelope("manifest"),
-        "config": cfg.to_dict(),
-        "seed": cfg.seed,
-        "artifacts": checksums,
-    }
-    _write_artifact(path, canonical_json(payload))
-
-
 def _resolve_plane(plane_cfg) -> ColorPlane:
     if isinstance(plane_cfg, str):
         return colorspace.get_plane(plane_cfg)
@@ -275,13 +252,8 @@ def _data_from_payload(payload: dict) -> DataMatrix:
 
 def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
     data = _data_from_payload(std_payload)
-    tc = cfg.train_config
-    if cfg.auto_sigma:
-        sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, tc)
-        print(f"selected sigma_final={sigma_final}", file=sys.stderr)
-    else:
-        result = som.train(data, cfg.rows, cfg.cols, tc)
-        g = som.goodness(result.grid, data) if result.grid.m >= 2 else None
+    sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, cfg.train_config)
+    print(f"selected sigma_final={sigma_final}", file=sys.stderr)
     metadata = {
         "epochs": cfg.epochs,
         "sigma_schedule": [float(s) for s in result.sigmas],
@@ -452,49 +424,47 @@ def _run_stage(stage: Stage, inputs: list, cfg: PipelineConfig) -> tuple:
     return result if isinstance(result, tuple) else (result,)
 
 
-def _text(output) -> str:
-    return output if isinstance(output, str) else canonical_json(output)
-
-
 def cmd_pipeline(cfg: PipelineConfig) -> dict:
-    """Run every stage, write the five artifacts plus a manifest, return metrics."""
-    for stage in STAGES:  # build every stage's settings, so a bad one fails before any write
+    """Run every stage, write the five artifacts plus a manifest, return metrics.
+
+    Every stage runs before the first write, so a failed run leaves --out as it was.
+    """
+    for stage in STAGES:  # build every stage's settings, so a bad one fails before ingest
         if stage.settings:
             _run(stage.name, getattr, cfg, stage.settings)
-    out_dir = Path(cfg.out)
-    payloads: dict[str, dict | str] = {}
-    checksums: dict[str, str] = {}
+    outputs: dict[str, dict | str] = {}
     for stage in STAGES:
-        outputs = _run_stage(stage, [payloads[name] for _, name in stage.reads], cfg)
-        for (_, name, _), payload in zip(stage.writes, outputs):
-            payloads[name] = payload
-            if not stage.kept:
-                continue
-            if not checksums:
-                # From here on the old artifacts get replaced, so the old manifest no
-                # longer vouches for them; a failed run must leave none behind.
-                (out_dir / "manifest.json").unlink(missing_ok=True)
-            checksums[name] = _write_artifact(out_dir / name, _text(payload))
-            print(f"wrote {out_dir / name}", file=sys.stderr)
-    _write_manifest(out_dir / "manifest.json", cfg, checksums)
+        results = _run_stage(stage, [outputs[name] for _, name in stage.reads], cfg)
+        outputs.update((name, result) for (_, name, _), result in zip(stage.writes, results))
+    out_dir = Path(cfg.out)
+    _commit(out_dir / "manifest.json", cfg,
+            {out_dir / name: outputs[name] for stage in STAGES if stage.kept
+             for _, name, _ in stage.writes})
 
-    training = payloads["grid.json"]["training_metadata"]
+    training = outputs["grid.json"]["training_metadata"]
     return {
         "quantization_error": training["quantization_error"],
         "goodness": training["goodness"],
-        "final_stress": payloads["embedding.json"]["final_stress"],
+        "final_stress": outputs["embedding.json"]["final_stress"],
     }
 
 
-def _finish_stage(cfg: PipelineConfig, outputs: dict[Path, str]) -> None:
-    first = next(iter(outputs))
-    manifest = first.with_name(first.name + ".manifest.json")
-    manifest.unlink(missing_ok=True)  # see cmd_pipeline
+def _commit(manifest: Path, cfg: PipelineConfig, outputs: dict[Path, dict | str]) -> None:
+    """Write each output, then a manifest with the config and every output's checksum.
+
+    An output is SVG text or a payload dict, written as canonical JSON. The old
+    manifest goes first: once the first output is replaced it would vouch for a
+    mix of old and new artifacts, so a failed write leaves none.
+    """
+    manifest.unlink(missing_ok=True)
     checksums = {}
-    for path, content in outputs.items():
-        checksums[str(path.name)] = _write_artifact(path, content)
+    for path, output in outputs.items():
+        text = output if isinstance(output, str) else canonical_json(output)
+        checksums[path.name] = _write_artifact(path, text)
         print(f"wrote {path}", file=sys.stderr)
-    _write_manifest(manifest, cfg, checksums)
+    payload = {**envelope("manifest"), "config": cfg.to_dict(), "seed": cfg.seed,
+               "artifacts": checksums}
+    _write_artifact(manifest, canonical_json(payload))
 
 
 # ----------------------------------------------------------------------------
@@ -574,16 +544,19 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         if args.command == "pipeline":
             print(json.dumps(cmd_pipeline(cfg), sort_keys=True))
-        elif args.command == "swatch":
+            return 0
+        if args.command == "swatch":
             svg = _run("swatch", lambda: render.render_plane_swatch_svg(
                 cfg.color_plane, args.steps_u, args.steps_v, cfg.render_spec))
-            _finish_stage(cfg, {Path(args.out or "swatch.svg"): svg})
+            outputs = {Path(args.out or "swatch.svg"): svg}
         else:
             stage = {s.name: s for s in STAGES}[args.command]
             inputs = [_load_payload(getattr(args, _dest(flag))) for flag, _ in stage.reads]
-            outputs = _run_stage(stage, inputs, cfg)
-            _finish_stage(cfg, {Path(getattr(args, _dest(flag)) or name): _text(payload)
-                                for (flag, name, _), payload in zip(stage.writes, outputs)})
+            results = _run_stage(stage, inputs, cfg)
+            outputs = {Path(getattr(args, _dest(flag)) or name): result
+                       for (flag, name, _), result in zip(stage.writes, results)}
+        first = next(iter(outputs))
+        _commit(first.with_name(first.name + ".manifest.json"), cfg, outputs)
         return 0
     except StageError as exc:
         print(str(exc), file=sys.stderr)

@@ -9,6 +9,7 @@ weight downstream.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,17 +153,18 @@ def load_csv(
         for k, i in enumerate(value_idx):
             cell = row[i].strip()
             try:
-                values[r, k] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}: line {first_line + r}, column {header[i]!r}: "
                     f"cannot parse {cell!r} as a number"
                 ) from None
-            if not np.isfinite(values[r, k]):
+            if not math.isfinite(value):
                 raise ValueError(
                     f"{path}: line {first_line + r}, column {header[i]!r}: "
                     f"non-finite value {cell!r}"
                 )
+            values[r, k] = value
         if row_labels is not None:
             row_labels.append(row[special["label"]].strip())
         if class_labels is not None:

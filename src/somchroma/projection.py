@@ -72,6 +72,14 @@ class ProjectionConfig:
         if self.repulsion_t is not None and not (self.repulsion_t >= 0):
             raise ValueError("repulsion_t must be nonnegative")
 
+    def neighbor_count(self, m: int) -> int:
+        """The localized method's k for m points: k_neighbors or its default."""
+        k = self.k_neighbors
+        if k is None:
+            k = min(max(4, math.ceil(0.05 * m)), m - 1)
+        _check_neighbor_count(k, m)
+        return k
+
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -212,6 +220,11 @@ def lmds_stress(dx: np.ndarray, y: np.ndarray, neighbors, t: float) -> float:
     return stress(pairwise_distances(y))
 
 
+def _check_neighbor_count(k: int, m: int):
+    if not 1 <= k < m:
+        raise ValueError(f"k must satisfy 1 <= k < {m}, got {k}")
+
+
 def knn_pairs(dx: np.ndarray, k: int) -> set[tuple[int, int]]:
     """Symmetrized k-nearest-neighbor pair set.
 
@@ -219,8 +232,7 @@ def knn_pairs(dx: np.ndarray, k: int) -> set[tuple[int, int]]:
     distance ties resolve to the lower index.
     """
     m = dx.shape[0]
-    if not 1 <= k < m:
-        raise ValueError(f"k must satisfy 1 <= k < {m}, got {k}")
+    _check_neighbor_count(k, m)
     pairs = set()
     for j in range(m):
         d = dx[j].copy()
@@ -276,10 +288,7 @@ def project(vectors: np.ndarray, config: ProjectionConfig) -> ProjectionResult:
     k_used = None
     t_used = None
     if config.method == "lmds":
-        if config.k_neighbors is not None:
-            k_used = config.k_neighbors
-        else:
-            k_used = min(max(4, math.ceil(0.05 * m)), m - 1)
+        k_used = config.neighbor_count(m)
         mask = _neighbor_mask(m, knn_pairs(dx, k_used))
         if config.repulsion_t is not None:
             t_used = float(config.repulsion_t)

@@ -8,9 +8,9 @@ element order and fixed 3-decimal coordinate formatting.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -218,7 +218,8 @@ def render_som_svg(grid: SomGrid, colors: np.ndarray, overlay: Overlay, spec: Re
             y = cy - r - 4.0 - (len(texts) - 1 - i) * fs
             lines.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(y)}" font-size="{_fmt(fs)}" '
-                f'text-anchor="middle" font-family="sans-serif">{escape(text)}</text>'
+                f'text-anchor="middle" font-family="sans-serif">'
+                f'{html.escape(text, quote=False)}</text>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -92,7 +92,7 @@ class TrainConfig:
     sigma_initial defaults to max(rows, cols)/2 and sigma_final to
     min(1, sigma_initial); both are resolved against the grid shape at
     training time. sigma_candidates feeds automatic selection (final sigmas
-    tried with sigma_initial fixed).
+    tried with sigma_initial fixed); final_sigmas says which ones apply.
     """
 
     epochs: int = 40
@@ -116,23 +116,30 @@ class TrainConfig:
             raise ValueError(f"need 0 < sigma_final <= sigma_initial, got {sf} > {si}")
         return si, float(sf)
 
-    def resolved_candidates(self, sigma_initial: float) -> tuple[float, ...]:
+    def final_sigmas(self, rows: int, cols: int) -> tuple[float, ...]:
+        """The final sigmas a rows x cols map is trained with, ascending and checked.
+
+        One when sigma_final is set, or on a 1-unit grid, where goodness cannot
+        choose: the resolved sigma_final. Otherwise the candidates to choose
+        from: sigma_candidates, or the defaults up to sigma_initial.
+        """
+        if rows < 1 or cols < 1:
+            raise ValueError("grid must have at least one row and one column")
+        if self.sigma_final is not None or rows * cols == 1:
+            return (self.resolved_sigmas(rows, cols)[1],)
+        si = self.resolved_initial(rows, cols)
         if self.sigma_candidates is None:
-            cands = tuple(s for s in DEFAULT_SIGMA_CANDIDATES if s <= sigma_initial)
+            cands = tuple(s for s in DEFAULT_SIGMA_CANDIDATES if s <= si)
             if not cands:
-                raise ValueError(
-                    f"no default sigma candidate fits sigma_initial={sigma_initial}"
-                )
+                raise ValueError(f"no default sigma candidate fits sigma_initial={si}")
             return cands
         cands = tuple(float(s) for s in self.sigma_candidates)
         if not cands:
             raise ValueError("sigma_candidates must be non-empty")
         for s in cands:
-            if not (0.0 < s <= sigma_initial):
-                raise ValueError(
-                    f"sigma candidate {s} outside (0, sigma_initial={sigma_initial}]"
-                )
-        return cands
+            if not (0.0 < s <= si):
+                raise ValueError(f"sigma candidate {s} outside (0, sigma_initial={si}]")
+        return tuple(sorted(cands))
 
 
 @dataclass(frozen=True)
@@ -463,22 +470,24 @@ def goodness(grid: SomGrid, data: DataMatrix) -> float:
 
 def select_sigma(
     data: DataMatrix, rows: int, cols: int, config: TrainConfig
-) -> tuple[float, TrainResult, float]:
-    """Train one SOM per candidate final sigma and keep the best map.
+) -> tuple[float, TrainResult, float | None]:
+    """Train one SOM per final sigma of config.final_sigmas and keep the best map.
 
-    Returns the candidate minimizing goodness together with its trained
-    result and its goodness; goodness ties within 1e-12 resolve to the
-    smaller sigma.
+    Returns the sigma minimizing goodness together with its trained result
+    and its goodness; goodness ties within 1e-12 resolve to the smaller
+    sigma. A 1-unit grid has no goodness, so it returns None for it.
     """
     si = config.resolved_initial(rows, cols)
-    candidates = sorted(config.resolved_candidates(si))
     results = []
-    for sf in candidates:
+    for sf in config.final_sigmas(rows, cols):
         run = TrainConfig(
             epochs=config.epochs, sigma_initial=si, sigma_final=sf, seed=config.seed
         )
         result = train(data, rows, cols, run)
-        results.append((sf, result, goodness(result.grid, data)))
+        g = goodness(result.grid, data) if result.grid.m >= 2 else None
+        results.append((sf, result, g))
+    if len(results) == 1:  # nothing to choose, and a 1-unit grid has no goodness
+        return results[0]
     best_g = min(g for _, _, g in results)
     for sf, result, g in results:  # ascending sigma: first within tolerance wins
         if g <= best_g + 1e-12:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -204,16 +205,22 @@ def test_missing_or_malformed_field_is_named(stage_inputs, tmp_path, capsys, com
 
 
 def test_failed_run_leaves_no_stale_manifest(tmp_path, iris_path, capsys):
-    args = base_args(iris_path, tmp_path)
+    out = tmp_path / "out"
+    args = base_args(iris_path, out)
     assert cli.main(args) == 0
+    before = file_bytes(out)
     args[args.index("--grid") + 1] = "5x5"
     # only the data show that the marker map has no shape for 'versicolor'
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"marker_map": {"setosa": "circle"}}))
     assert cli.main(args + ["--config", str(cfg_path)]) == 1
     assert "error in stage render" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
-    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    # the earlier run's files stay as they were, and its manifest still vouches for them
+    assert file_bytes(out) == before
+    manifest = json.loads(before["manifest.json"])
+    assert set(manifest["artifacts"]) == set(ARTIFACTS)
+    for name, checksum in manifest["artifacts"].items():
+        assert hashlib.sha256(before[name]).hexdigest() == checksum, name
 
 
 def small_run_config(out, **settings):
@@ -243,11 +250,13 @@ def file_bytes(directory):
     ({"rows": 0}, "train"),
     ({"sigma_initial": 0.5, "sigma_final": 2}, "train"),
     ({"sigma_candidates": [9.0]}, "train"),
+    ({"sigma_candidates": []}, "train"),
     ({"background": "#-1-1-1"}, "render"),
     ({"method": "lmds", "k_neighbors": 0}, "project"),
     ({"method": "lmds", "k_neighbors": 9}, "project"),
 ], ids=["plane", "tolerance", "shape", "epochs", "grid-0x3", "sigma-final-above-initial",
-        "sigma-candidate-above-initial", "background-signed", "lmds-k-0", "lmds-k-all-units"])
+        "sigma-candidate-above-initial", "sigma-candidates-empty", "background-signed",
+        "lmds-k-0", "lmds-k-all-units"])
 def test_bad_setting_fails_before_any_write(tmp_path, iris_path, capsys, setting, stage,
                                             earlier_run):
     out = tmp_path / "out"
@@ -392,14 +401,18 @@ def subprocess_env(**extra):
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+# scipy is a test dependency only; the rest are what xml.sax.saxutils pulls in
+UNUSED_MODULES = ("scipy", "xml.sax", "urllib.request", "http.client", "email", "ssl")
+
+
 def test_cli_pipeline_loads_no_scipy(tmp_path, iris_path):
-    # scipy is a test dependency only; a CLI run must not import it
+    # a CLI run must import none of UNUSED_MODULES
     argv = ["pipeline", "--input", str(iris_path), "--class-column", "species", "--grid", "6x7",
             "--method", "sammon", "--seed", "0", "--out", str(tmp_path / "out")]
     code = ("import sys\n"
             "import somchroma.cli\n"
             f"status = somchroma.cli.main({argv!r})\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            f"print(sorted(m for m in sys.modules if m.startswith({UNUSED_MODULES!r})))\n"
             "sys.exit(status)\n")
     result = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                             capture_output=True, text=True, timeout=300)

@@ -310,6 +310,22 @@ def test_projection_config_rejects_k_below_one(k):
         ProjectionConfig(method="lmds", k_neighbors=k)
 
 
+@pytest.mark.parametrize("m, k", [(2, 1), (42, 4), (225, 12)])
+def test_neighbor_count_default(m, k):
+    # max(4, ceil(0.05 M)) capped at M - 1
+    assert ProjectionConfig(method="lmds").neighbor_count(m) == k
+
+
+def test_neighbor_count_keeps_an_explicit_k():
+    assert ProjectionConfig(method="lmds", k_neighbors=7).neighbor_count(42) == 7
+
+
+@pytest.mark.parametrize("k, m", [(9, 9), (10, 9), (None, 1)])
+def test_neighbor_count_rejects_k_outside_range(k, m):
+    with pytest.raises(ValueError, match=f"k must satisfy 1 <= k < {m}"):
+        ProjectionConfig(method="lmds", k_neighbors=k).neighbor_count(m)
+
+
 def test_project_rejects_coincident_rows_for_sammon():
     x = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="coincide"):

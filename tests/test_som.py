@@ -575,6 +575,55 @@ def test_select_sigma_rejects_out_of_range_candidate(iris_std):
         select_sigma(iris_std, 3, 3, cfg)
 
 
+def test_select_sigma_trains_only_a_set_sigma_final(iris_std, monkeypatch):
+    real_train = som.train
+    finals = []
+
+    def counting_train(data, rows, cols, config):
+        finals.append(config.sigma_final)
+        return real_train(data, rows, cols, config)
+
+    monkeypatch.setattr(som, "train", counting_train)
+    sigma, result, g = select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, sigma_final=0.9))
+    assert finals == [0.9]
+    assert sigma == 0.9 and result.sigmas == (1.5, 0.9)
+    assert g == goodness(result.grid, iris_std)
+
+
+def test_select_sigma_on_one_unit_has_no_goodness(iris_std):
+    sigma, result, g = select_sigma(iris_std, 1, 1, TrainConfig(epochs=2))
+    assert sigma == 0.5 and result.grid.m == 1 and g is None
+
+
+@pytest.mark.parametrize("config, rows, cols, expected", [
+    (TrainConfig(sigma_final=0.9), 3, 3, (0.9,)),
+    (TrainConfig(sigma_final=0.9, sigma_candidates=(0.4, 0.7)), 3, 3, (0.9,)),
+    (TrainConfig(), 1, 1, (0.5,)),
+    (TrainConfig(sigma_initial=3.0, sigma_candidates=(0.4, 0.7)), 1, 1, (1.0,)),
+    (TrainConfig(), 3, 3, (0.4, 0.7, 1.0, 1.5)),
+    (TrainConfig(), 6, 7, som.DEFAULT_SIGMA_CANDIDATES),
+    (TrainConfig(sigma_candidates=(1.1, 0.5, 0.8)), 3, 3, (0.5, 0.8, 1.1)),
+], ids=["fixed", "fixed-over-candidates", "one-unit", "one-unit-over-candidates",
+        "defaults-up-to-initial", "all-defaults", "candidates-ascending"])
+def test_final_sigmas(config, rows, cols, expected):
+    assert config.final_sigmas(rows, cols) == expected
+
+
+@pytest.mark.parametrize("config, rows, cols, message", [
+    (TrainConfig(sigma_candidates=()), 3, 3, "sigma_candidates must be non-empty"),
+    (TrainConfig(sigma_candidates=(0.4, 5.0)), 3, 3, r"sigma candidate 5.0 outside \(0, "),
+    (TrainConfig(sigma_candidates=(0.0,)), 3, 3, "outside"),
+    (TrainConfig(sigma_initial=0.3), 3, 3, "no default sigma candidate fits"),
+    (TrainConfig(sigma_initial=0.5, sigma_final=2.0), 3, 3, "need 0 < sigma_final"),
+    (TrainConfig(), 0, 3, "grid must have at least one row and one column"),
+    (TrainConfig(sigma_final=0.5), 3, 0, "grid must have at least one row and one column"),
+], ids=["empty", "out-of-range", "zero", "no-default-fits", "final-above-initial",
+        "grid-0x3", "grid-3x0"])
+def test_final_sigmas_rejects(config, rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        config.final_sigmas(rows, cols)
+
+
 # ----------------------------------------------------------------------------
 # serialization
 
