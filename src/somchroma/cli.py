@@ -274,8 +274,7 @@ def stage_project(grid_payload: dict, cfg: PipelineConfig) -> dict:
 def stage_color(embedding_payload: dict, cfg: PipelineConfig) -> dict:
     points = projection.embedding_from_dict(embedding_payload)
     plane = cfg.color_plane
-    aligned = projection.align_axes(points) if points.shape[0] >= 2 else points.copy()
-    coords = projection.normalize_components(aligned)
+    coords = projection.normalize_components(projection.align_axes(points))
     if cfg.swap_axes:
         coords = coords[:, ::-1]
     colors = colorspace.colorize(coords, plane)

@@ -99,8 +99,19 @@ def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=float)
     if not np.all(np.isfinite(vectors)):
         raise ValueError("vectors must be finite")
-    diff = vectors[:, None, :] - vectors[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if vectors.shape[1] in (1, 2):
+        # Column by column: the same sums as the einsum below, without its
+        # M x M x n tensor. For n >= 3 the einsum adds in another order.
+        d = np.subtract.outer(vectors[:, 0], vectors[:, 0])
+        d *= d
+        if vectors.shape[1] == 2:
+            diff = np.subtract.outer(vectors[:, 1], vectors[:, 1])
+            diff *= diff
+            d += diff
+        np.sqrt(d, out=d)
+    else:
+        diff = vectors[:, None, :] - vectors[None, :, :]
+        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -113,7 +124,12 @@ def _check_sizes(dx: np.ndarray, y: np.ndarray):
 def _weighted_grad(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sum over h of w[j, h] * (y[j] - y[h]); w's diagonal is zeroed in place."""
     np.fill_diagonal(w, 0.0)
-    return w.sum(axis=1)[:, None] * y - np.einsum("jh,hk->jk", w, y)
+    g = w.sum(axis=1)[:, None] * y
+    # One einsum per column adds in the order of einsum("jh,hk->jk", w, y), and
+    # faster; w @ y (BLAS) and a contiguous copy of the column round differently.
+    for k in range(y.shape[1]):
+        g[:, k] -= np.einsum("jh,h->j", w, y[:, k])
+    return g
 
 
 def _check_sammon_distances(iu, dx_u: np.ndarray):
@@ -135,13 +151,15 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
     the Sammon normalizer, the lmds near/far split over neighbor `mask` with
     repulsion weight `t`) is computed here once.
     """
-    iu = np.triu_indices(dx.shape[0], k=1)
-    dx_u = dx[iu]
+    m = dx.shape[0]
+    iu = np.triu_indices(m, k=1)
+    flat = iu[0] * m + iu[1]  # dy.take(flat) is dy[iu], as one cheaper gather
+    dx_u = dx.take(flat)
 
     if method == "metric_mds":
 
         def stress(dy):
-            return float(np.sum((dx_u - dy[iu]) ** 2))
+            return float(np.sum((dx_u - dy.take(flat)) ** 2))
 
         def grad(y, dy):
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,27 +169,26 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
     elif method == "sammon":
         _check_sammon_distances(iu, dx_u)
         c = np.sum(dx_u)
-        positive = dx > 0.0
 
         def stress(dy):
-            return float(np.sum((dx_u - dy[iu]) ** 2 / dx_u) / c)
+            return float(np.sum((dx_u - dy.take(flat)) ** 2 / dx_u) / c)
 
         def grad(y, dy):
+            # dx is nonzero off the diagonal (checked above), and dy is zero on it
             with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where((dy > 0.0) & positive, (dy - dx) / (dx * dy), 0.0)
+                w = np.where(dy > 0.0, (dy - dx) / (dx * dy), 0.0)
             return (2.0 / c) * _weighted_grad(w, y)
 
     else:
-        near = mask[iu]
-        far_u = ~near
+        near = mask.take(flat)
+        near_flat, far_flat = flat[near], flat[~near]
         dx_near = dx_u[near]
         far = ~mask
         np.fill_diagonal(far, False)
 
         def stress(dy):
-            dy_u = dy[iu]
-            attraction = np.sum((dx_near - dy_u[near]) ** 2)
-            repulsion = np.sum(dy_u[far_u])
+            attraction = np.sum((dx_near - dy.take(near_flat)) ** 2)
+            repulsion = np.sum(dy.take(far_flat))
             return float(attraction - t * repulsion)
 
         def grad(y, dy):

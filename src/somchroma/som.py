@@ -119,13 +119,15 @@ class TrainConfig:
     def final_sigmas(self, rows: int, cols: int) -> tuple[float, ...]:
         """The final sigmas a rows x cols map is trained with, ascending and checked.
 
-        One when sigma_final is set, or on a 1-unit grid, where goodness cannot
-        choose: the resolved sigma_final. Otherwise the candidates to choose
-        from: sigma_candidates, or the defaults up to sigma_initial.
+        One when sigma_final is set. Otherwise the candidates to choose from:
+        sigma_candidates, or the defaults up to sigma_initial. A grid needs at
+        least 2 units, as goodness, the projection and the coloring do.
         """
         if rows < 1 or cols < 1:
             raise ValueError("grid must have at least one row and one column")
-        if self.sigma_final is not None or rows * cols == 1:
+        if rows * cols < 2:
+            raise ValueError(f"grid {rows}x{cols} has 1 unit; a map needs at least 2")
+        if self.sigma_final is not None:
             return (self.resolved_sigmas(rows, cols)[1],)
         si = self.resolved_initial(rows, cols)
         if self.sigma_candidates is None:
@@ -470,12 +472,12 @@ def goodness(grid: SomGrid, data: DataMatrix) -> float:
 
 def select_sigma(
     data: DataMatrix, rows: int, cols: int, config: TrainConfig
-) -> tuple[float, TrainResult, float | None]:
+) -> tuple[float, TrainResult, float]:
     """Train one SOM per final sigma of config.final_sigmas and keep the best map.
 
     Returns the sigma minimizing goodness together with its trained result
     and its goodness; goodness ties within 1e-12 resolve to the smaller
-    sigma. A 1-unit grid has no goodness, so it returns None for it.
+    sigma.
     """
     si = config.resolved_initial(rows, cols)
     results = []
@@ -484,10 +486,7 @@ def select_sigma(
             epochs=config.epochs, sigma_initial=si, sigma_final=sf, seed=config.seed
         )
         result = train(data, rows, cols, run)
-        g = goodness(result.grid, data) if result.grid.m >= 2 else None
-        results.append((sf, result, g))
-    if len(results) == 1:  # nothing to choose, and a 1-unit grid has no goodness
-        return results[0]
+        results.append((sf, result, goodness(result.grid, data)))
     best_g = min(g for _, _, g in results)
     for sf, result, g in results:  # ascending sigma: first within tolerance wins
         if g <= best_g + 1e-12:

@@ -248,15 +248,16 @@ def file_bytes(directory):
     ({"shape": "square"}, "render"),
     ({"epochs": 0}, "train"),
     ({"rows": 0}, "train"),
+    ({"rows": 1, "cols": 1}, "train"),
     ({"sigma_initial": 0.5, "sigma_final": 2}, "train"),
     ({"sigma_candidates": [9.0]}, "train"),
     ({"sigma_candidates": []}, "train"),
     ({"background": "#-1-1-1"}, "render"),
     ({"method": "lmds", "k_neighbors": 0}, "project"),
     ({"method": "lmds", "k_neighbors": 9}, "project"),
-], ids=["plane", "tolerance", "shape", "epochs", "grid-0x3", "sigma-final-above-initial",
-        "sigma-candidate-above-initial", "sigma-candidates-empty", "background-signed",
-        "lmds-k-0", "lmds-k-all-units"])
+], ids=["plane", "tolerance", "shape", "epochs", "grid-0x3", "grid-1x1",
+        "sigma-final-above-initial", "sigma-candidate-above-initial", "sigma-candidates-empty",
+        "background-signed", "lmds-k-0", "lmds-k-all-units"])
 def test_bad_setting_fails_before_any_write(tmp_path, iris_path, capsys, setting, stage,
                                             earlier_run):
     out = tmp_path / "out"
@@ -294,6 +295,17 @@ def test_failed_write_keeps_old_artifact_and_drops_stage_manifest(pipeline_dir, 
     assert "disk full" in capsys.readouterr().err
     assert out.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["colors.json"]
+
+
+def test_one_unit_grid_fails_before_any_stage_runs(tmp_path, iris_path, capsys, monkeypatch):
+    for stage in cli.STAGES:  # a stage that ran would fail with another message
+        monkeypatch.setattr(cli, f"stage_{stage.name}", None)
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--input", str(iris_path), "--grid", "1x1",
+                     "--out", str(out)]) == 1
+    assert ("error in stage train: grid 1x1 has 1 unit; a map needs at least 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_missing_input_artifact(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from somchroma import projection
 from somchroma.projection import (
     ProjectionConfig,
     align_axes,
@@ -17,6 +18,9 @@ from somchroma.projection import (
     project,
     sammon_stress,
 )
+from somchroma.som import TrainConfig, train
+
+from conftest import make_gaussian_clusters
 
 
 # ----------------------------------------------------------------------------
@@ -54,6 +58,71 @@ def brute_lmds(dx, y, neighbors, t):
             else:
                 total -= t * dy
     return total
+
+
+# The descent's earlier forms, kept as bitwise oracles: an M x M x n einsum for
+# the distances, one einsum for the gradient product, and fancy-indexed stress.
+
+def einsum_distances(vectors):
+    diff = vectors[:, None, :] - vectors[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def einsum_weighted_grad(w, y):
+    np.fill_diagonal(w, 0.0)
+    return w.sum(axis=1)[:, None] * y - np.einsum("jh,hk->jk", w, y)
+
+
+def indexed_objective(method, dx, mask=None, t=None):
+    iu = np.triu_indices(dx.shape[0], k=1)
+    dx_u = dx[iu]
+    if method == "metric_mds":
+
+        def stress(dy):
+            return float(np.sum((dx_u - dy[iu]) ** 2))
+
+        def grad(y, dy):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where(dy > 0.0, (dy - dx) / dy, 0.0)
+            return 2.0 * einsum_weighted_grad(w, y)
+
+    elif method == "sammon":
+        c = np.sum(dx_u)
+        positive = dx > 0.0
+
+        def stress(dy):
+            return float(np.sum((dx_u - dy[iu]) ** 2 / dx_u) / c)
+
+        def grad(y, dy):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where((dy > 0.0) & positive, (dy - dx) / (dx * dy), 0.0)
+            return (2.0 / c) * einsum_weighted_grad(w, y)
+
+    else:
+        near = mask[iu]
+        far_u = ~near
+        dx_near = dx_u[near]
+        far = ~mask
+        np.fill_diagonal(far, False)
+
+        def stress(dy):
+            dy_u = dy[iu]
+            return float(np.sum((dx_near - dy_u[near]) ** 2) - t * np.sum(dy_u[far_u]))
+
+        def grad(y, dy):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = np.where(dy > 0.0, 1.0 / dy, 0.0)
+            w = np.where(mask, 2.0 * (dy - dx) * inv, 0.0) - t * far * inv
+            return einsum_weighted_grad(w, y)
+
+    return stress, grad
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def rigid_motion(y, angle, reflect, shift):
@@ -439,3 +508,94 @@ def test_unit_coords_invariant_under_rigid_motion():
 def test_embedding_from_dict_rejects_bad_points(fields):
     with pytest.raises(ValueError, match=r"embedding\.points"):
         embedding_from_dict({"kind": "embedding", "schema_version": 1, **fields})
+
+
+# ----------------------------------------------------------------------------
+# the descent's reductions, bit for bit against the oracles above
+
+def _distance_cases():
+    rng = np.random.default_rng(20)
+    cases = {f"random-{scale:g}": rng.standard_normal((40, 2)) * scale
+             for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150)}
+    cases["one-column"] = rng.standard_normal((30, 1))
+    cases["coincident"] = np.repeat(rng.standard_normal((6, 2)), 3, axis=0)
+    cases["mixed-scales"] = rng.standard_normal((50, 2)) * 10.0 ** rng.integers(-8, 9, (50, 1))
+    cases["two-points"] = np.array([[0.1, 0.7], [0.3, -0.2]])
+    return cases
+
+
+@pytest.mark.parametrize("vectors", _distance_cases().values(), ids=_distance_cases().keys())
+def test_pairwise_distances_match_the_einsum_bitwise(vectors):
+    assert same_bits(pairwise_distances(vectors), einsum_distances(vectors))
+
+
+def test_pairwise_distances_oracle_tells_hypot_apart():
+    def hypot_distances(vectors):
+        diff = vectors[:, None, :] - vectors[None, :, :]
+        return np.hypot(diff[..., 0], diff[..., 1])
+
+    assert not all(same_bits(hypot_distances(v), einsum_distances(v))
+                   for v in _distance_cases().values() if v.shape[1] == 2)
+
+
+def _grad_cases():
+    rng = np.random.default_rng(21)
+    for m in (2, 3, 5, 16, 33, 64, 100, 225, 400):
+        yield rng.standard_normal((m, m)), rng.standard_normal((m, 2)) * 10.0 ** rng.integers(-3, 4)
+
+
+def test_weighted_grad_matches_the_einsum_bitwise():
+    for w, y in _grad_cases():
+        assert same_bits(projection._weighted_grad(w.copy(), y), einsum_weighted_grad(w.copy(), y))
+
+
+def test_weighted_grad_oracle_tells_a_matmul_apart():
+    def matmul_grad(w, y):
+        np.fill_diagonal(w, 0.0)
+        return w.sum(axis=1)[:, None] * y - w @ y
+
+    assert not all(same_bits(matmul_grad(w.copy(), y), einsum_weighted_grad(w.copy(), y))
+                   for w, y in _grad_cases())
+
+
+@pytest.fixture(scope="module")
+def descent_inputs(iris_std):
+    """Reference vectors of a 15x15 map of 600 clustered rows, and of iris on 6x7."""
+    blobs = make_gaussian_clusters(600, 8, n_clusters=8, seed=3)
+    maps = {"15x15": (blobs, 15, 15, 10), "iris-6x7": (iris_std, 6, 7, 40)}
+    return {name: train(data, rows, cols, TrainConfig(epochs=epochs, sigma_final=1.0))
+            .grid.reference_vectors for name, (data, rows, cols, epochs) in maps.items()}
+
+
+def project_with_oracles(monkeypatch, vectors, config):
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "pairwise_distances", einsum_distances)
+        patch.setattr(projection, "_objective", indexed_objective)
+        return project(vectors, config)
+
+
+def same_descent(a, b):
+    return (same_bits(a.points, b.points) and same_bits(a.stress_history, b.stress_history)
+            and a.iterations == b.iterations and a.repulsion_t == b.repulsion_t)
+
+
+@pytest.mark.parametrize("grid", ["15x15", "iris-6x7"])
+@pytest.mark.parametrize("method", ["metric_mds", "sammon", "lmds"])
+def test_project_matches_the_oracle_descent_bitwise(descent_inputs, monkeypatch, grid, method):
+    vectors = descent_inputs[grid]
+    config = ProjectionConfig(method=method, max_iterations=150 if grid == "15x15" else 2000)
+    result = project(vectors, config)
+    assert result.iterations > 10
+    assert same_descent(result, project_with_oracles(monkeypatch, vectors, config))
+
+
+def test_project_oracle_tells_a_matmul_gradient_apart(descent_inputs, monkeypatch):
+    def matmul_grad(w, y):
+        np.fill_diagonal(w, 0.0)
+        return w.sum(axis=1)[:, None] * y - w @ y
+
+    vectors = descent_inputs["15x15"]
+    config = ProjectionConfig(method="lmds", max_iterations=150)
+    monkeypatch.setattr(projection, "_weighted_grad", matmul_grad)
+    assert not same_descent(project(vectors, config),
+                            project_with_oracles(monkeypatch, vectors, config))

@@ -590,21 +590,20 @@ def test_select_sigma_trains_only_a_set_sigma_final(iris_std, monkeypatch):
     assert g == goodness(result.grid, iris_std)
 
 
-def test_select_sigma_on_one_unit_has_no_goodness(iris_std):
-    sigma, result, g = select_sigma(iris_std, 1, 1, TrainConfig(epochs=2))
-    assert sigma == 0.5 and result.grid.m == 1 and g is None
+def test_select_sigma_rejects_one_unit(iris_std, monkeypatch):
+    monkeypatch.setattr(som, "train", None)  # rejected before any training
+    with pytest.raises(ValueError, match="grid 1x1 has 1 unit; a map needs at least 2"):
+        select_sigma(iris_std, 1, 1, TrainConfig(epochs=2))
 
 
 @pytest.mark.parametrize("config, rows, cols, expected", [
     (TrainConfig(sigma_final=0.9), 3, 3, (0.9,)),
     (TrainConfig(sigma_final=0.9, sigma_candidates=(0.4, 0.7)), 3, 3, (0.9,)),
-    (TrainConfig(), 1, 1, (0.5,)),
-    (TrainConfig(sigma_initial=3.0, sigma_candidates=(0.4, 0.7)), 1, 1, (1.0,)),
     (TrainConfig(), 3, 3, (0.4, 0.7, 1.0, 1.5)),
     (TrainConfig(), 6, 7, som.DEFAULT_SIGMA_CANDIDATES),
     (TrainConfig(sigma_candidates=(1.1, 0.5, 0.8)), 3, 3, (0.5, 0.8, 1.1)),
-], ids=["fixed", "fixed-over-candidates", "one-unit", "one-unit-over-candidates",
-        "defaults-up-to-initial", "all-defaults", "candidates-ascending"])
+], ids=["fixed", "fixed-over-candidates", "defaults-up-to-initial", "all-defaults",
+        "candidates-ascending"])
 def test_final_sigmas(config, rows, cols, expected):
     assert config.final_sigmas(rows, cols) == expected
 
@@ -617,8 +616,11 @@ def test_final_sigmas(config, rows, cols, expected):
     (TrainConfig(sigma_initial=0.5, sigma_final=2.0), 3, 3, "need 0 < sigma_final"),
     (TrainConfig(), 0, 3, "grid must have at least one row and one column"),
     (TrainConfig(sigma_final=0.5), 3, 0, "grid must have at least one row and one column"),
+    (TrainConfig(), 1, 1, "grid 1x1 has 1 unit; a map needs at least 2"),
+    (TrainConfig(sigma_initial=3.0, sigma_candidates=(0.4, 0.7)), 1, 1, "grid 1x1 has 1"),
+    (TrainConfig(sigma_final=0.5), 1, 1, "grid 1x1 has 1 unit"),
 ], ids=["empty", "out-of-range", "zero", "no-default-fits", "final-above-initial",
-        "grid-0x3", "grid-3x0"])
+        "grid-0x3", "grid-3x0", "one-unit", "one-unit-over-candidates", "one-unit-fixed"])
 def test_final_sigmas_rejects(config, rows, cols, message):
     with pytest.raises(ValueError, match=message):
         config.final_sigmas(rows, cols)
