@@ -97,6 +97,8 @@ class ProjectionResult:
 def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
     """Full symmetric Euclidean distance matrix with an exactly zero diagonal."""
     vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2:
+        raise ValueError(f"vectors must be 2-dimensional, got shape {vectors.shape}")
     if not np.all(np.isfinite(vectors)):
         raise ValueError("vectors must be finite")
     if vectors.shape[1] in (1, 2):

@@ -228,6 +228,8 @@ def bmu(x: np.ndarray, grid: SomGrid) -> int:
 def bmu_indices(values: np.ndarray, grid: SomGrid) -> np.ndarray:
     """Vectorized BMU lookup for every row of `values` (lowest-index ties)."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"data must be 2-dimensional, got shape {values.shape}")
     if values.shape[1] != grid.dim:
         raise ValueError(
             f"data of dimension {values.shape[1]} against grid of dim {grid.dim}"
@@ -236,10 +238,13 @@ def bmu_indices(values: np.ndarray, grid: SomGrid) -> np.ndarray:
 
 
 # Rows x units searched at once: the GEMM block and its copies, not N x M x n,
-# bound the memory of a nearest-unit search.
-_BLOCK_PAIRS = 1 << 19
+# bound the memory of a nearest-unit search. 2**17 pairs make a 1 MB block of
+# s, which stays in a 2 MiB L2 cache through its elementwise passes.
+_BLOCK_PAIRS = 1 << 17
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+# Below this `reach` no intermediate of s or of the margin can overflow.
+_SAFE_REACH = 2.0**510
 
 
 def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
@@ -255,36 +260,50 @@ def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
     x2 = np.einsum("ij,ij->i", values, values)
     w2 = np.einsum("ij,ij->i", vectors, vectors)
     # Rounding bound. With u = 2**-53, g_m = m u / (1 - m u), D = |x - w|^2
-    # and S = |x| + max|w| (`reach`), any summation order, FMA use or thread split
-    # gives (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
-    #   the GEMM form  s = |x|^2 + |w|^2 - 2 x.w:  |s - D| <= g_{n+2} S^2,
-    #   the einsum     d = sum_k (x_k - w_k)^2:     |d - D| <= g_{n+2} D <= g_{n+2} S^2,
-    # so |s - d| <= e = 2 g_{n+2} S^2. Let t be the row's k-th smallest s and
-    # v its k-th smallest d. The k units with s <= t have d <= t + e, so
-    # v <= t + e. A unit among the top k has rank(d) <= rank(v); for sqrt,
+    # and S = |x| + max|w| (`reach`), any summation order, FMA use or thread
+    # split gives (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+    #   the GEMM form  s = |w|^2 - 2 x.w:       |s + |x|^2 - D| <= g_{n+2} S^2,
+    #   the einsum     d = sum_k (x_k - w_k)^2:  |d - D| <= g_{n+2} D <= g_{n+2} S^2.
+    # Scaling w by -2 is exact, the GEMM's error is at most g_n 2|x||w|, that
+    # of |w|^2 at most g_n |w|^2, and the last addition adds u |s|. The row
+    # constant |x|^2 is left out of s, as it moves no comparison within a row:
+    # for s' = s + |x|^2 (exact), |s' - d| <= e = 2 g_{n+2} S^2. Let t be the
+    # row's k-th smallest s, so t' = t + |x|^2 is the k-th smallest s', and
+    # let v be its k-th smallest d. The k units with s' <= t' have d <= t' + e,
+    # so v <= t' + e. A unit among the top k has rank(d) <= rank(v); for sqrt,
     # which can round two squared distances to one value, that gives
-    # d <= v (1 + 5u). Hence its s <= d + e <= t + 2e + 5u (t + e), and
-    # `margin` exceeds that twice over to first order in n u, which covers
-    # the rounding of S, of the margin and of t + margin. Its subnormal term
-    # covers products that underflow. This assumes a conventional GEMM (each
-    # entry a sum of n products), not a Strassen-like one.
+    # d <= v (1 + 5u). Hence its s' <= d + e <= t' + 2e + 5u (t' + e), that is
+    # s <= t + 2e + 5u (t' + e) with t' <= S^2 (1 + g_{n+2}). `margin` exceeds
+    # that twice over to first order in n u, which covers the rounding of S,
+    # of the margin and of t + margin (|t| <= S^2 (1 + g_{n+2}) too). Its
+    # subnormal term covers products that underflow. This assumes a
+    # conventional GEMM (each entry a sum of n products), not a Strassen-like
+    # one. With S <= 2**510, every intermediate is below S^2 (1 + g_{n+2}) <
+    # 2**1021; a row past that, or with a NaN, keeps every unit.
     reach = np.sqrt(x2) + np.sqrt(w2.max())
     margin = 8 * (n + 4) * (_UNIT_ROUNDOFF * reach * reach + _SMALLEST_SUBNORMAL)
+    unsafe = ~(reach <= _SAFE_REACH)
+    scaled = -2.0 * vectors.T
     indices = np.empty((values.shape[0], k), dtype=np.intp)
     squared = np.empty((values.shape[0], k))
     step = max(1, _BLOCK_PAIRS // vectors.shape[0])
     for lo in range(0, values.shape[0], step):
         rows = slice(lo, lo + step)
         x = values[rows]
-        s = x @ vectors.T
-        s *= -2.0
-        s += x2[rows, None]
+        s = x @ scaled
         s += w2
-        kth = s.min(axis=1) if k == 1 else np.partition(s, k - 1, axis=1)[:, k - 1]
-        limit = kth + margin[rows]
-        keep = s <= limit[:, None]
-        # a row whose s or margin overflowed keeps every unit
-        keep[~(np.isfinite(limit) & np.isfinite(s).all(axis=1))] = True
+        # the k-th smallest: hide the k - 1 smallest, take the minimum, restore
+        at = np.arange(x.shape[0])
+        hidden = []
+        for _ in range(k - 1):
+            j = s.argmin(axis=1)
+            hidden.append((j, s[at, j]))
+            s[at, j] = np.inf
+        kth = s.min(axis=1)
+        for j, v in reversed(hidden):
+            s[at, j] = v
+        keep = s <= (kth + margin[rows])[:, None]
+        keep[unsafe[rows]] = True
         r, c = np.divmod(np.flatnonzero(keep), vectors.shape[0])
         diff = x[r] - vectors[c]
         d = np.einsum("ij,ij->i", diff, diff)
@@ -296,19 +315,59 @@ def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
     return indices, squared
 
 
+def _level_sums(rest: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-group sums of the rows of `rest`, split into levels whose sums are exact.
+
+    Group g is rest[starts[g]:starts[g + 1]]. Returns a K x G x n array
+    (K >= 1) whose K entries for group g and column j add up exactly to that
+    group's sum in column j. `rest` is used up: it ends all zero. Each pass
+    is the error-free extraction of Rump, Ogita and Oishi 2008 ("Accurate
+    floating-point summation, part I"). With |v| < 2**e over a column and
+    sigma = 2**(e + b), where 2**(b - 1) > N, p = (sigma + v) - sigma and
+    v - p are both exact, every p is a multiple of ulp(sigma) / 2 and
+    |p| <= 2**e. So any partial sum of up to N of them is such a multiple
+    below sigma / 2, which a double holds exactly: a level's group sums are
+    exact in any order. What is left, v - p, is at most ulp(sigma) / 2, so
+    each pass takes 52 - b bits off the top until nothing is left. A column
+    where sigma would not be finite is left out: its level sums are zero.
+    """
+    b = len(rest).bit_length() + 1
+    levels = []
+    top = np.abs(rest).max(axis=0)
+    fits = np.isfinite(top) & (np.frexp(top)[1] + b <= 1023)
+    rest[:, ~fits] = top[~fits] = 0.0
+    while True:  # at least one level, so that every group has a sum
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + b)
+        p = rest + sigma
+        p -= sigma
+        rest -= p
+        levels.append(np.add.reduceat(p, starts, axis=0))
+        top = np.abs(rest).max(axis=0)
+        if not top.any():
+            return np.array(levels)
+
+
 def _group_sums(values: np.ndarray, bmus: np.ndarray, m: int):
     """Per-unit sums of attracted rows and their counts.
 
-    math.fsum gives the exactly rounded sum, so the result does not depend on
-    row order and batch_epoch stays bit-identical under data permutations.
+    Each sum is math.fsum's, the exact sum rounded once, so the result does
+    not depend on row order and batch_epoch stays bit-identical under data
+    permutations. The exact sum comes in a few levels (_level_sums), and
+    math.fsum over them rounds it. A sum whose levels are all zero (a column
+    that _level_sums leaves out, or a sum that is exactly zero, whose sign
+    fsum takes from the rows) is math.fsum over the rows themselves.
     """
     counts = np.bincount(bmus, minlength=m)
-    stops = np.cumsum(counts)
-    columns = values[np.argsort(bmus, kind="stable")].T.tolist()
+    live = np.flatnonzero(counts)
+    stops = np.cumsum(counts)[live]
+    starts = stops - counts[live]
+    order = np.argsort(bmus, kind="stable")
+    levels = _level_sums(np.take(values, order, axis=0), starts)
     sums = np.zeros((m, values.shape[1]))
-    for u in np.flatnonzero(counts):
-        start = stops[u] - counts[u]
-        sums[u] = [math.fsum(col[start:stops[u]]) for col in columns]
+    cells = zip(*levels.reshape(len(levels), -1).tolist())
+    sums[live] = np.reshape(list(map(math.fsum, cells)), levels.shape[1:])
+    for g, j in zip(*np.nonzero(~levels.any(axis=0))):
+        sums[live[g], j] = math.fsum(values[order[starts[g]:stops[g]], j].tolist())
     return sums, counts
 
 
@@ -328,22 +387,42 @@ def batch_epoch(
     m = grid.m
     if bmus is None:
         bmus = bmu_indices(data.values, grid)
+    else:
+        bmus = np.asarray(bmus)
+        if bmus.shape != (data.n_rows,) or not np.issubdtype(bmus.dtype, np.integer):
+            raise ValueError(
+                f"bmus must be {data.n_rows} integer unit indices, "
+                f"got shape {bmus.shape} and dtype {bmus.dtype}"
+            )
+        if bmus.min() < 0 or bmus.max() >= m:
+            raise ValueError(
+                f"bmus must lie in [0, {m}), got {bmus.min()} to {bmus.max()}"
+            )
+        bmus = bmus.astype(np.intp, copy=False)
     sums, counts = _group_sums(data.values, bmus, m)
 
+    # (x_i - x_j)^2 + (y_i - y_j)^2, the same sums as an einsum over the
+    # M x M x 2 differences, without that tensor; then, in place,
+    # exp(d / -(2 sigma^2)), which rounds as exp(-d / (2 sigma^2)) does
     pos = grid.unit_positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    kernel = np.subtract.outer(pos[:, 0], pos[:, 0])
+    kernel *= kernel
+    dy = np.subtract.outer(pos[:, 1], pos[:, 1])
+    dy *= dy
+    kernel += dy
+    del dy
+    kernel /= -2.0 * sigma * sigma
     with np.errstate(under="ignore"):
-        kernel = np.exp(-sq / (2.0 * sigma * sigma))
+        np.exp(kernel, out=kernel)
 
-    num = np.zeros_like(grid.reference_vectors)
-    den = np.zeros(m)
-    for u in range(m):  # fixed unit order keeps the reduction deterministic
-        if counts[u] == 0:
-            continue
-        w = kernel[u]
-        num += w[:, None] * sums[u]
-        den += w * counts[u]
+    # each column sums the live units' terms in unit order, from +0.0, as a
+    # running sum over the units would: the reduction is deterministic
+    live = np.flatnonzero(counts)
+    weights = kernel[live]
+    num = np.empty_like(grid.reference_vectors)
+    for j in range(num.shape[1]):
+        num[:, j] = np.add.reduce(weights * sums[live, j][:, None], axis=0, initial=0.0)
+    den = np.add.reduce(weights * counts[live][:, None], axis=0, initial=0.0)
 
     vectors = grid.reference_vectors.copy()
     alive = den > 0.0

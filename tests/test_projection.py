@@ -147,6 +147,12 @@ def test_pairwise_identical_rows():
     assert np.array_equal(d, np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_pairwise_rejects_input_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match=rf"2-dimensional, got shape \({shape[0]},"):
+        pairwise_distances(np.ones(shape))
+
+
 def test_pairwise_matches_double_loop():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((5, 3))

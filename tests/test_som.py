@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -148,6 +149,13 @@ def test_bmu_dimension_mismatch():
         bmu(np.array([1.0, 2.0, 3.0]), grid)
 
 
+@pytest.mark.parametrize("shape", [(2,), (3, 4, 2)])
+def test_bmu_indices_rejects_data_that_is_not_2d(shape):
+    grid = two_unit_grid([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=rf"2-dimensional, got shape \({shape[0]},"):
+        bmu_indices(np.ones(shape), grid)
+
+
 def test_bmu_identifies_own_unit():
     rng = np.random.default_rng(2)
     grid = SomGrid(2, 3, rng.standard_normal((6, 4)))
@@ -222,6 +230,193 @@ def test_batch_epoch_permutation_invariant_bitwise():
     shuffled = DataMatrix(values[perm], list("abcd"))
     out_perm = batch_epoch(grid, shuffled, sigma=0.8)
     assert np.array_equal(out.reference_vectors, out_perm.reference_vectors)
+
+
+@pytest.mark.parametrize(
+    "bmus, message",
+    [
+        (np.zeros(9, dtype=int), r"bmus must be 10 integer unit indices, got shape \(9,\)"),
+        (np.full(10, 7), r"bmus must lie in \[0, 6\), got 7 to 7"),
+        (np.full(10, -1), r"bmus must lie in \[0, 6\), got -1 to -1"),
+        (np.zeros(10), r"bmus must be 10 integer unit indices, .* dtype float64"),
+    ],
+    ids=["nine-for-ten-rows", "unit-7-of-6", "unit-minus-1", "floats"],
+)
+def test_batch_epoch_rejects_bad_bmus(bmus, message):
+    rng = np.random.default_rng(4)
+    data = DataMatrix(rng.standard_normal((10, 2)), ["x", "y"])
+    grid = SomGrid(2, 3, rng.standard_normal((6, 2)))
+    with pytest.raises(ValueError, match=message):
+        batch_epoch(grid, data, 1.0, bmus)
+
+
+# ----------------------------------------------------------------------------
+# exact group sums and the kernel update against the per-unit loops they replace
+
+def fsum_group_sums(values, bmus, m):
+    """Oracle: one math.fsum per unit and column over the unit's rows."""
+    counts = np.bincount(bmus, minlength=m)
+    stops = np.cumsum(counts)
+    columns = values[np.argsort(bmus, kind="stable")].T.tolist()
+    sums = np.zeros((m, values.shape[1]))
+    for u in np.flatnonzero(counts):
+        start = stops[u] - counts[u]
+        sums[u] = [math.fsum(col[start:stops[u]]) for col in columns]
+    return sums, counts
+
+
+def loop_batch_epoch(grid, data, sigma, bmus):
+    """Oracle: the kernel from the M x M x 2 einsum, summed by a loop over units."""
+    sums, counts = fsum_group_sums(data.values, bmus, grid.m)
+    pos = grid.unit_positions
+    diff = pos[:, None, :] - pos[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    with np.errstate(under="ignore"):
+        kernel = np.exp(-sq / (2.0 * sigma * sigma))
+    num = np.zeros_like(grid.reference_vectors)
+    den = np.zeros(grid.m)
+    for u in range(grid.m):
+        if counts[u]:
+            num += kernel[u][:, None] * sums[u]
+            den += kernel[u] * counts[u]
+    vectors = grid.reference_vectors.copy()
+    alive = den > 0.0
+    vectors[alive] = num[alive] / den[alive, None]
+    return vectors
+
+
+def _cancellation(rng):
+    # big values and their exact negatives around small ones, in shuffled order
+    big = rng.standard_normal((60, 3)) * 1e16
+    small = rng.standard_normal((60, 3))
+    values = np.vstack([big, -big, small, 1e-16 * small])[rng.permutation(240)]
+    return values, rng.integers(0, 5, size=240), 5
+
+
+def _wide_magnitudes(rng):
+    # 1e-300 to 1e300 in one column, both signs
+    values = rng.standard_normal((300, 2)) * 10.0 ** rng.uniform(-300, 300, size=(300, 2))
+    return values, rng.integers(0, 7, size=300), 7
+
+
+def _subnormals(rng):
+    values = rng.standard_normal((200, 3)) * 1e-310
+    values[:, 2] *= 10.0 ** rng.integers(0, 300, size=200)  # subnormals among normals
+    return values, rng.integers(0, 6, size=200), 6
+
+
+def _signed_zeros(rng):
+    # a column of -0.0 only, one of +0.0 and -0.0, and one whose sums cancel exactly
+    values = np.zeros((40, 3))
+    values[:, 0] = -0.0
+    values[::2, 1] = -0.0
+    values[:, 2] = np.repeat([1.5, -1.5], 20)
+    bmus = np.repeat(np.arange(4), 10)
+    bmus[20:] = bmus[:20]
+    return values, bmus, 4
+
+
+def _all_zero_column(rng):
+    values = rng.standard_normal((50, 3))
+    values[:, 1] = 0.0
+    return values, rng.integers(0, 4, size=50), 4
+
+
+def _one_row_and_empty_units(rng):
+    # units 0, 2 and 5 get one row each, 1, 3 and 6 none, 4 the rest
+    values = rng.standard_normal((30, 4))
+    bmus = np.full(30, 4)
+    bmus[[3, 11, 29]] = [0, 2, 5]
+    return values, bmus, 7
+
+
+def _many_levels(rng):
+    # 2**16 - 1 rows leave 35 bits to a level, so full mantissas from 2**0
+    # down to 2**-45 (column 0) need more than two levels. One unit holds most
+    # rows, all negative and near -1 in columns 1-8, so its sums come within
+    # a factor of 4 of the largest a level's granularity holds exactly.
+    n = (1 << 16) - 1
+    values = np.column_stack([
+        rng.uniform(0.5, 1.0, n) * 2.0 ** -rng.integers(0, 46, size=n),
+        -rng.uniform(0.5, 1.0, (n, 8)),
+    ])
+    bmus = np.where(rng.random(n) < 0.9, 0, rng.integers(1, 4, size=n))
+    order = np.argsort(bmus, kind="stable")
+    starts = np.flatnonzero(np.diff(bmus[order], prepend=-1))
+    assert len(som._level_sums(values[order], starts)) > 2
+    return values, bmus, 4
+
+
+def _near_overflow_columns(rng):
+    # with 30 rows sigma is 2**(e + 6): 2**1023 in column 0, where |v| < 2**1017,
+    # and beyond the largest double in column 1, which math.fsum sums alone
+    values = rng.uniform(-1.0, 1.0, size=(30, 2)) * 2.0 ** np.array([1016, 1018])
+    values[7] = 1.5 * 2.0 ** np.array([1016, 1018])
+    levels = som._level_sums(values.copy(), np.arange(0, 30, 3))
+    assert levels[:, :, 0].any() and not levels[:, :, 1].any()
+    return values, np.repeat(np.arange(10), 3), 10
+
+
+GROUP_SUM_CASES = {
+    "cancellation": _cancellation,
+    "1e-300-to-1e300": _wide_magnitudes,
+    "subnormals": _subnormals,
+    "signed-zeros": _signed_zeros,
+    "all-zero-column": _all_zero_column,
+    "one-row-and-empty-units": _one_row_and_empty_units,
+    "more-than-two-levels": _many_levels,
+    "near-overflow-columns": _near_overflow_columns,
+}
+
+
+@pytest.mark.parametrize("case", list(GROUP_SUM_CASES))
+def test_group_sums_are_math_fsum_bitwise(case):
+    values, bmus, m = GROUP_SUM_CASES[case](np.random.default_rng(17))
+    sums, counts = som._group_sums(values, bmus, m)
+    expected, expected_counts = fsum_group_sums(values, bmus, m)
+    assert np.array_equal(counts, expected_counts)
+    assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
+
+
+def test_group_sums_keep_math_fsum_overflow():
+    values = np.array([[1e308, 1.0], [1e308, 2.0], [-1e308, 3.0]])
+    bmus = np.zeros(3, dtype=int)
+    with pytest.raises(OverflowError):
+        fsum_group_sums(values, bmus, 2)
+    with pytest.raises(OverflowError):
+        som._group_sums(values, bmus, 2)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 0.3, 1.0, 4.0])
+def test_batch_epoch_is_the_per_unit_loop_bitwise(sigma):
+    rng = np.random.default_rng(int(sigma * 1000))
+    values = rng.standard_normal((90, 4))
+    values[:, 3] = -0.0
+    values[:10, 3] = 0.0
+    data = DataMatrix(values, list("abcd"))
+    grid = SomGrid(4, 5, rng.standard_normal((20, 4)) * 2.0)
+    bmus = bmu_indices(values, grid)
+    out = batch_epoch(grid, data, sigma, bmus).reference_vectors
+    expected = loop_batch_epoch(grid, data, sigma, bmus)
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    if sigma == 1e-3:  # the kernel underflows: units no row chose get weight 0
+        empty = np.setdiff1d(np.arange(grid.m), bmus)
+        assert empty.size and np.array_equal(out[empty], grid.reference_vectors[empty])
+
+
+def test_batch_epoch_sums_from_plus_zero_like_the_loop():
+    # one live unit at the end of a 1 x 40 line: the kernel reaches the far
+    # units as subnormals, so their products with tiny negative sums round
+    # to -0.0 while their weights stay positive; a running sum from +0.0
+    # turns that into +0.0
+    values = np.column_stack([np.full(5, -1e-20), np.arange(5.0)])
+    data = DataMatrix(values, ["x", "y"])
+    grid = SomGrid(1, 40, np.column_stack([np.zeros(40), np.arange(40.0) + 100.0]))
+    bmus = np.zeros(5, dtype=int)
+    out = batch_epoch(grid, data, 1.0, bmus).reference_vectors
+    expected = loop_batch_epoch(grid, data, 1.0, bmus)
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    assert (out[38:, 0] == 0.0).all() and not np.signbit(out[38:, 0]).any()
 
 
 # ----------------------------------------------------------------------------
@@ -404,6 +599,17 @@ def _overflow(rng):
     return _on_grid(values, vectors, 4)
 
 
+def _overflow_rows_among_normal_rows(rng):
+    # one block holds rows whose |x|^2, GEMM entries or distances overflow,
+    # rows past the safe reach whose distances are finite, and ordinary rows
+    vectors = rng.standard_normal((12, 3))
+    values = rng.standard_normal((40, 3))
+    values[[2, 9]] = 1e308 * np.array([1.0, -1.0, 1.0])
+    values[[5, 17]] = 1e200
+    values[[11, 30]] = 5e153
+    return _on_grid(values, vectors, 4)
+
+
 def _several_blocks(rng):
     data = make_gaussian_clusters(3000, 8, n_clusters=8, seed=int(rng.integers(100)))
     grid = init_grid(20, 20, data, seed=0)
@@ -420,6 +626,7 @@ NEAREST_CASES = {
     "scale-1e3": _scaled(1e3),
     "sqrt-rounding-tie": _sqrt_rounding_tie,
     "overflow": _overflow,
+    "overflow-rows-among-normal-rows": _overflow_rows_among_normal_rows,
     "several-blocks": _several_blocks,
 }
 
@@ -510,17 +717,28 @@ def test_reference_paths_match_scipy_dijkstra_bitwise(case):
         assert expected[14, 1] == 0.0
 
 
-def test_bmu_search_memory_is_bounded_by_a_block():
+def peak_traced_bytes(search):
     rng = np.random.default_rng(5)
     values = rng.standard_normal((4000, 30))
     grid = SomGrid(20, 20, rng.standard_normal((400, 30)))
     tracemalloc.start()
     try:
-        bmu_indices(values, grid)
+        search(values, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20  # the N x M x n difference tensor alone is 384 MB
+    return peak
+
+
+# The N x M x n difference tensor alone is 384 MB; 2**19-pair blocks peak
+# above 9 MiB, 2**17-pair ones near 2.5 MiB.
+def test_bmu_search_memory_is_bounded_by_a_block():
+    assert peak_traced_bytes(bmu_indices) < 6 * 2**20
+
+
+def test_goodness_search_memory_is_bounded_by_a_block():
+    peak = peak_traced_bytes(lambda v, g: som._nearest(v, g.reference_vectors, 2, np.sqrt))
+    assert peak < 6 * 2**20
 
 
 def test_train_searches_each_grid_once(iris_std, monkeypatch):
