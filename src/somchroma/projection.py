@@ -104,10 +104,10 @@ def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
     if vectors.shape[1] in (1, 2):
         # Column by column: the same sums as the einsum below, without its
         # M x M x n tensor. For n >= 3 the einsum adds in another order.
-        d = np.subtract.outer(vectors[:, 0], vectors[:, 0])
+        d = _column_differences(vectors[:, 0])
         d *= d
         if vectors.shape[1] == 2:
-            diff = np.subtract.outer(vectors[:, 1], vectors[:, 1])
+            diff = _column_differences(vectors[:, 1])
             diff *= diff
             d += diff
         np.sqrt(d, out=d)
@@ -118,13 +118,33 @@ def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
     return d
 
 
+def _column_differences(a: np.ndarray) -> np.ndarray:
+    """a[i] - a[j] for every i, j, as one K = 2 product [a, 1] @ [1; -a].
+
+    Both products multiply by +-1, so they are exact, and their sum is rounded
+    once to a[i] - a[j] in either order, with or without FMA, at any BLAS
+    thread count. Only a zero's sign may differ from np.subtract.outer, which
+    is slower because it calls its inner loop once per row.
+    """
+    m = a.shape[0]
+    left = np.ones((m, 2))
+    left[:, 0] = a
+    right = np.ones((2, m))
+    np.negative(a, out=right[1])
+    return left @ right
+
+
 def _check_sizes(dx: np.ndarray, y: np.ndarray):
     if dx.shape[0] != dx.shape[1] or dx.shape[0] != y.shape[0] or y.shape[1] != 2:
         raise ValueError(f"size mismatch: distances {dx.shape}, embedding {y.shape}")
 
 
 def _weighted_grad(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum over h of w[j, h] * (y[j] - y[h]); w's diagonal is zeroed in place."""
+    """Sum over h of w[j, h] * (y[j] - y[h]); w's diagonal is zeroed in place.
+
+    Zeroing clears whatever the diagonal held, inf or nan included, so the
+    weights may come from unmasked divisions by a zero diagonal.
+    """
     np.fill_diagonal(w, 0.0)
     g = w.sum(axis=1)[:, None] * y
     # One einsum per column adds in the order of einsum("jh,hk->jk", w, y), and
@@ -132,6 +152,11 @@ def _weighted_grad(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     for k in range(y.shape[1]):
         g[:, k] -= np.einsum("jh,h->j", w, y[:, k])
     return g
+
+
+def _distinct_points(dy: np.ndarray) -> bool:
+    """True when no two embedded points coincide: dy is zero only on its diagonal."""
+    return np.count_nonzero(dy) == dy.size - dy.shape[0]
 
 
 def _check_sammon_distances(iu, dx_u: np.ndarray):
@@ -152,6 +177,15 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
     pass serves both. Everything that depends on `dx` alone (pair indices,
     the Sammon normalizer, the lmds near/far split over neighbor `mask` with
     repulsion weight `t`) is computed here once.
+
+    `grad` divides by `dy` without a mask when every off-diagonal `dy` is
+    positive. Each weight off the diagonal is then the masked form's, bit for
+    bit: a positive `dy` is at least 2.2e-162, so `1/dy` is finite. The
+    diagonal's nan or inf is cleared by `_weighted_grad`. The lmds near
+    weights are computed only at the neighbor entries, gathered and put back
+    through flat indices precomputed here. When two embedded points coincide
+    (a zero `dy` off the diagonal), `grad` takes the masked form, which gives
+    those pairs a zero weight.
     """
     m = dx.shape[0]
     iu = np.triu_indices(m, k=1)
@@ -165,7 +199,11 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
 
         def grad(y, dy):
             with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(dy > 0.0, (dy - dx) / dy, 0.0)
+                if _distinct_points(dy):
+                    w = dy - dx
+                    w /= dy
+                else:
+                    w = np.where(dy > 0.0, (dy - dx) / dy, 0.0)
             return 2.0 * _weighted_grad(w, y)
 
     elif method == "sammon":
@@ -178,7 +216,11 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
         def grad(y, dy):
             # dx is nonzero off the diagonal (checked above), and dy is zero on it
             with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(dy > 0.0, (dy - dx) / (dx * dy), 0.0)
+                if _distinct_points(dy):
+                    w = dy - dx
+                    w /= dx * dy
+                else:
+                    w = np.where(dy > 0.0, (dy - dx) / (dx * dy), 0.0)
             return (2.0 / c) * _weighted_grad(w, y)
 
     else:
@@ -187,6 +229,8 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
         dx_near = dx_u[near]
         far = ~mask
         np.fill_diagonal(far, False)
+        mask_flat = np.flatnonzero(mask)  # both (j, h) and (h, j) of each pair
+        dx_mask = dx.take(mask_flat)
 
         def stress(dy):
             attraction = np.sum((dx_near - dy.take(near_flat)) ** 2)
@@ -195,8 +239,20 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
 
         def grad(y, dy):
             with np.errstate(divide="ignore", invalid="ignore"):
-                inv = np.where(dy > 0.0, 1.0 / dy, 0.0)
-            w = np.where(mask, 2.0 * (dy - dx) * inv, 0.0) - t * far * inv
+                if not _distinct_points(dy):
+                    inv = np.where(dy > 0.0, 1.0 / dy, 0.0)
+                    w = np.where(mask, 2.0 * (dy - dx) * inv, 0.0) - t * far * inv
+                    return _weighted_grad(w, y)
+                w = np.divide(1.0, dy)
+                # near pairs: 2 (dy - dx) / dy; the masked form subtracts (t * 0.0) * inv = +0
+                attraction = dy.take(mask_flat)
+                attraction -= dx_mask
+                attraction *= 2.0
+                attraction *= w.take(mask_flat)
+                # far pairs: 0 - t / dy, as the masked form's 0.0 - (t * 1.0) * inv
+                w *= t
+                np.subtract(0.0, w, out=w)
+            w.put(mask_flat, attraction)
             return _weighted_grad(w, y)
 
     return stress, grad

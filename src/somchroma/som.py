@@ -190,11 +190,13 @@ def init_grid(rows: int, cols: int, data: DataMatrix, seed: int = 0) -> SomGrid:
     values = data.values
     mean = values.mean(axis=0)
     lams, axes = _principal_axes(values)
-    rng = np.random.default_rng(seed)
+    rng = None  # made on first use: importing numpy.random costs several MB of memory
     thresh = lams[0] * 1e-10
     spans = np.empty(2)
     for k in range(2):
         if lams[k] <= thresh or lams[k] == 0.0:
+            if rng is None:
+                rng = np.random.default_rng(seed)
             direction = rng.standard_normal(data.n_cols)
             norm = np.linalg.norm(direction)
             axes[k] = direction / norm if norm > 0 else np.eye(data.n_cols)[0]
@@ -382,7 +384,7 @@ def batch_epoch(
     their previous vector. `bmus`, when given, must be
     bmu_indices(data.values, grid); passing it saves that search.
     """
-    if sigma <= 0:
+    if not (sigma > 0):  # negated, so that NaN fails too
         raise ValueError(f"sigma must be positive, got {sigma}")
     m = grid.m
     if bmus is None:
@@ -432,6 +434,11 @@ def batch_epoch(
 
 def sigma_schedule(sigma_initial: float, sigma_final: float, epochs: int) -> tuple[float, ...]:
     """Linear decay from sigma_initial to sigma_final over `epochs` epochs."""
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    for name, sigma in (("sigma_initial", sigma_initial), ("sigma_final", sigma_final)):
+        if not (sigma > 0):  # negated, so that NaN fails too
+            raise ValueError(f"{name} must be positive, got {sigma}")
     if epochs == 1:
         return (float(sigma_initial),)
     steps = np.arange(epochs) / (epochs - 1)

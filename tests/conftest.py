@@ -1,9 +1,12 @@
 import csv
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import somchroma
 from somchroma.dataset import DataMatrix, bundled_data_path, load_csv, standardize
 
 
@@ -69,3 +72,10 @@ def assert_svg_coordinates_within_viewbox(svg):
     for x, y in svg_coordinates(svg):
         assert -1e-9 <= x <= w + 1e-9
         assert -1e-9 <= y <= h + 1e-9
+
+
+def subprocess_env(**extra):
+    """os.environ plus `extra`, with this checkout's somchroma first on PYTHONPATH."""
+    src = str(Path(somchroma.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

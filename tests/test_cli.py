@@ -4,15 +4,13 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import somchroma
 from somchroma import cli, som
 
-from conftest import make_gaussian_clusters, write_numeric_csv
+from conftest import make_gaussian_clusters, subprocess_env, write_numeric_csv
 
 ARTIFACTS = ["standardized.json", "grid.json", "embedding.json", "som.svg", "scatter.svg"]
 
@@ -81,6 +79,15 @@ def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path, iris_path):
         assert cli.main(step) == 0, step[0]
     for name in ARTIFACTS:
         assert (d / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
+
+def test_canonical_json_is_json_dumps_with_a_newline():
+    rng = np.random.default_rng(5)
+    payload = {"values": rng.standard_normal((700, 16)).tolist(), "b": {"z": [], "a": {}},
+               "name": "caf\u00e9", "n": 3, "flag": True, "none": None}
+    text = cli.canonical_json(payload)
+    assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert cli.canonical_json({}) == "{}\n"
 
 
 def test_rerun_from_manifest_reproduces_checksums(tmp_path, iris_path):
@@ -404,13 +411,6 @@ def test_manifest_threads_key_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"kind": "manifest", "config": {"threads": None}}))
     assert cli.main(["pipeline", "--config", str(cfg_path)]) == 1
     assert "unknown config keys: ['threads']" in capsys.readouterr().err
-
-
-def subprocess_env(**extra):
-    """os.environ plus `extra`, with this checkout's somchroma first on PYTHONPATH."""
-    src = str(Path(somchroma.__file__).resolve().parents[1])
-    return dict(os.environ, **extra,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # scipy is a test dependency only; the rest are what xml.sax.saxutils pulls in

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.optimize import minimize
 
 from somchroma import projection
 from somchroma.projection import (
+    METHODS,
     ProjectionConfig,
     align_axes,
     classical_scaling,
@@ -20,7 +23,7 @@ from somchroma.projection import (
 )
 from somchroma.som import TrainConfig, train
 
-from conftest import make_gaussian_clusters
+from conftest import make_gaussian_clusters, subprocess_env
 
 
 # ----------------------------------------------------------------------------
@@ -527,12 +530,37 @@ def _distance_cases():
     cases["coincident"] = np.repeat(rng.standard_normal((6, 2)), 3, axis=0)
     cases["mixed-scales"] = rng.standard_normal((50, 2)) * 10.0 ** rng.integers(-8, 9, (50, 1))
     cases["two-points"] = np.array([[0.1, 0.7], [0.3, -0.2]])
+    cases["subnormal"] = rng.standard_normal((40, 2)) * 1e-310
+    signed_zeros = rng.standard_normal((20, 2))
+    signed_zeros[::2, 0] = 0.0
+    signed_zeros[1::2, 0] = -0.0
+    signed_zeros[5, 0] = 1.5
+    cases["signed-zeros"] = signed_zeros
+    # 400 * 400 * 2 is above OpenBLAS's single-thread GEMM cutoff (65536 * 4)
+    cases["four-hundred"] = rng.standard_normal((400, 2))
     return cases
 
 
 @pytest.mark.parametrize("vectors", _distance_cases().values(), ids=_distance_cases().keys())
 def test_pairwise_distances_match_the_einsum_bitwise(vectors):
     assert same_bits(pairwise_distances(vectors), einsum_distances(vectors))
+
+
+def test_pairwise_distances_keep_their_bits_at_any_blas_thread_count():
+    code = ("import hashlib, numpy as np\n"
+            "from somchroma.projection import pairwise_distances\n"
+            "rng = np.random.default_rng(23)\n"
+            "for m in (400, 800):\n"
+            "    for n in (1, 2):\n"
+            "        d = pairwise_distances(rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4))\n"
+            "        print(m, n, hashlib.sha256(d.tobytes()).hexdigest())\n")
+    digests = []
+    for threads in ("1", "2"):
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=subprocess_env(OPENBLAS_NUM_THREADS=threads), timeout=300)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.splitlines())
+    assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
 def test_pairwise_distances_oracle_tells_hypot_apart():
@@ -555,6 +583,14 @@ def test_weighted_grad_matches_the_einsum_bitwise():
         assert same_bits(projection._weighted_grad(w.copy(), y), einsum_weighted_grad(w.copy(), y))
 
 
+@pytest.mark.parametrize("fill", [np.inf, -np.inf, np.nan])
+def test_weighted_grad_clears_a_non_finite_diagonal(fill):
+    for w, y in _grad_cases():
+        dirty = w.copy()
+        np.fill_diagonal(dirty, fill)
+        assert same_bits(projection._weighted_grad(dirty, y), projection._weighted_grad(w.copy(), y))
+
+
 def test_weighted_grad_oracle_tells_a_matmul_apart():
     def matmul_grad(w, y):
         np.fill_diagonal(w, 0.0)
@@ -562,6 +598,57 @@ def test_weighted_grad_oracle_tells_a_matmul_apart():
 
     assert not all(same_bits(matmul_grad(w.copy(), y), einsum_weighted_grad(w.copy(), y))
                    for w, y in _grad_cases())
+
+
+def _objective_cases():
+    """(id, method, dx, y, mask, t) for the gradients' bitwise checks."""
+    rng = np.random.default_rng(24)
+    dx = pairwise_distances(rng.standard_normal((12, 4)))
+    mask = projection._neighbor_mask(12, knn_pairs(dx, 3))
+    y = rng.standard_normal((12, 2))
+    coincident = y.copy()
+    coincident[[5, 9]] = coincident[2]
+    # squared differences are subnormal, and a positive dy is at least 2.2e-162
+    floor = np.column_stack([np.arange(12.0) // 3, np.arange(12.0) % 3]) * 2e-162
+    dx2 = pairwise_distances(rng.standard_normal((2, 4)))
+    inputs = {"random": (dx, y, mask), "coincident": (dx, coincident, mask),
+              "floor": (dx, floor, mask), "two-points": (dx2, rng.standard_normal((2, 2)),
+                                                         projection._neighbor_mask(2, [(0, 1)]))}
+    cases = []
+    for name, (d, points, near) in inputs.items():
+        for method in METHODS:
+            for t in ((0.0, 0.37) if method == "lmds" else (None,)):
+                label = f"{method}-{name}" + ("" if t is None else f"-t{t:g}")
+                cases.append(pytest.param(method, d, points, near, t, id=label))
+    return cases
+
+
+def grads(method, dx, y, mask, t):
+    dy = pairwise_distances(y)
+    return (projection._objective(method, dx, mask, t)[1](y, dy),
+            indexed_objective(method, dx, mask, t)[1](y, dy))
+
+
+@pytest.mark.parametrize("method, dx, y, mask, t", _objective_cases())
+def test_objective_grad_matches_the_masked_oracle_bitwise(method, dx, y, mask, t):
+    assert same_bits(*grads(method, dx, y, mask, t))
+
+
+def test_objective_cases_take_the_paths_they_name():
+    dists = {c.id: pairwise_distances(c.values[2]) for c in _objective_cases()}
+    for name, dy in dists.items():
+        assert projection._distinct_points(dy) == ("coincident" not in name), name
+    assert dists["sammon-floor"][0, 1] == math.sqrt(5e-324)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_objective_grad_oracle_tells_the_unmasked_form_on_coincident_points_apart(
+        monkeypatch, method):
+    monkeypatch.setattr(projection, "_distinct_points", lambda dy: True)
+    for case in _objective_cases():
+        if case.id.startswith(f"{method}-coincident"):
+            with np.errstate(invalid="ignore"):
+                assert not same_bits(*grads(*case.values))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,7 +28,7 @@ from somchroma.som import (
     train,
 )
 
-from conftest import make_gaussian_clusters
+from conftest import make_gaussian_clusters, subprocess_env
 
 
 def brute_force_goodness(grid, data):
@@ -125,6 +127,23 @@ def test_init_grid_rank_one_fallback():
     # deterministic given the seed
     again = init_grid(3, 4, data, seed=1)
     assert np.array_equal(grid.reference_vectors, again.reference_vectors)
+
+
+def test_init_grid_imports_numpy_random_only_for_a_degenerate_component():
+    # numpy.random costs several MB of memory; a train stage on full-rank data never draws
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from somchroma.dataset import DataMatrix\n"
+            "from somchroma.som import init_grid\n"
+            "values = np.sin(np.arange(40.0)).reshape(10, 4)\n"
+            "init_grid(2, 3, DataMatrix(values, list('wxyz')))\n"
+            "print('numpy.random' in sys.modules)\n"
+            "init_grid(2, 3, DataMatrix(np.ones((10, 4)), list('wxyz')))\n"
+            "print('numpy.random' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_init_grid_rejects_absurd_size():
@@ -421,6 +440,30 @@ def test_batch_epoch_sums_from_plus_zero_like_the_loop():
 
 # ----------------------------------------------------------------------------
 # training
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+def test_batch_epoch_rejects_a_sigma_that_is_not_positive(sigma):
+    rng = np.random.default_rng(4)
+    data = DataMatrix(rng.standard_normal((10, 2)), ["x", "y"])
+    grid = SomGrid(2, 3, rng.standard_normal((6, 2)))
+    with pytest.raises(ValueError, match=f"sigma must be positive, got {sigma}"):
+        batch_epoch(grid, data, sigma)
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_sigma_schedule_rejects_fewer_than_one_epoch(epochs):
+    with pytest.raises(ValueError, match=f"epochs must be >= 1, got {epochs}"):
+        sigma_schedule(2.0, 1.0, epochs)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("name", ["sigma_initial", "sigma_final"])
+def test_sigma_schedule_rejects_a_sigma_that_is_not_positive(name, sigma):
+    sigmas = {"sigma_initial": 2.0, "sigma_final": 1.0, name: sigma}
+    for epochs in (1, 3):
+        with pytest.raises(ValueError, match=f"{name} must be positive, got {sigma}"):
+            sigma_schedule(sigmas["sigma_initial"], sigmas["sigma_final"], epochs)
+
 
 def test_train_one_epoch_equals_init_plus_epoch(iris_std):
     cfg = TrainConfig(epochs=1, sigma_initial=2.0, sigma_final=2.0, seed=0)
