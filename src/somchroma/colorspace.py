@@ -111,12 +111,16 @@ def get_plane(name: str) -> ColorPlane:
     raise ValueError(f"unknown color plane {name!r}; built-in planes: {known}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _range_field(payload: dict, key: str) -> tuple[float, float]:
     value = payload[key]
     if not (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+        and all(_is_number(x) for x in value)
     ):
         raise ValueError(f"plane.{key} must be a [lo, hi] pair of numbers, got {value!r}")
     return float(value[0]), float(value[1])
@@ -125,14 +129,15 @@ def _range_field(payload: dict, key: str) -> tuple[float, float]:
 def plane_from_dict(payload: dict) -> ColorPlane:
     """Build a plane from config ({name, L_range, a_range, b_rule})."""
     try:
-        return ColorPlane(
-            name=str(payload["name"]),
-            L_range=_range_field(payload, "L_range"),
-            a_range=_range_field(payload, "a_range"),
-            b_rule=payload["b_rule"],
-        )
+        name, b_rule = payload["name"], payload["b_rule"]
+        L_range, a_range = _range_field(payload, "L_range"), _range_field(payload, "a_range")
     except KeyError as exc:
         raise ValueError(f"plane definition missing key {exc}") from None
+    if not isinstance(name, str):
+        raise ValueError(f"plane.name must be a string, got {name!r}")
+    if not (b_rule == "a" or _is_number(b_rule)):
+        raise ValueError(f'plane.b_rule must be a number or "a", got {b_rule!r}')
+    return ColorPlane(name, L_range, a_range, b_rule)
 
 
 def plane_to_dict(plane: ColorPlane) -> dict:

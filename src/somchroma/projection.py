@@ -69,8 +69,8 @@ class ProjectionConfig:
         # negated comparisons, so that NaN fails too
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be positive")
-        if self.repulsion_t is not None and not (self.repulsion_t >= 0):
-            raise ValueError("repulsion_t must be nonnegative")
+        if self.repulsion_t is not None and not (0 <= self.repulsion_t < math.inf):
+            raise ValueError(f"repulsion_t must be finite and nonnegative, got {self.repulsion_t}")
 
     def neighbor_count(self, m: int) -> int:
         """The localized method's k for m points: k_neighbors or its default."""
@@ -154,11 +154,6 @@ def _weighted_grad(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g
 
 
-def _distinct_points(dy: np.ndarray) -> bool:
-    """True when no two embedded points coincide: dy is zero only on its diagonal."""
-    return np.count_nonzero(dy) == dy.size - dy.shape[0]
-
-
 def _check_sammon_distances(iu, dx_u: np.ndarray):
     zero = np.flatnonzero(dx_u == 0.0)
     if zero.size:
@@ -167,6 +162,18 @@ def _check_sammon_distances(iu, dx_u: np.ndarray):
             f"rows {j} and {h} coincide (zero input distance); "
             "the inverse-distance weighting is undefined"
         )
+
+
+def _clear_coincident_pairs(w: np.ndarray, dy: np.ndarray):
+    """Zero the weights of pairs whose embedded points coincide (dy == 0).
+
+    The weights come from divisions by dy, so such pairs hold nan or inf.
+    Their direction y[j] - y[h] is undefined, so they get weight 0. When one
+    pass finds dy zero only on its diagonal (which `_weighted_grad` clears),
+    w is left as it is.
+    """
+    if np.count_nonzero(dy) != dy.size - dy.shape[0]:
+        w[dy == 0.0] = 0.0
 
 
 def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: float | None = None):
@@ -178,14 +185,11 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
     the Sammon normalizer, the lmds near/far split over neighbor `mask` with
     repulsion weight `t`) is computed here once.
 
-    `grad` divides by `dy` without a mask when every off-diagonal `dy` is
-    positive. Each weight off the diagonal is then the masked form's, bit for
-    bit: a positive `dy` is at least 2.2e-162, so `1/dy` is finite. The
-    diagonal's nan or inf is cleared by `_weighted_grad`. The lmds near
-    weights are computed only at the neighbor entries, gathered and put back
-    through flat indices precomputed here. When two embedded points coincide
-    (a zero `dy` off the diagonal), `grad` takes the masked form, which gives
-    those pairs a zero weight.
+    Each method computes its pair weights one way, dividing by `dy` without a
+    mask; a positive `dy` is at least 2.2e-162, so `1/dy` is finite. The lmds
+    near weights are computed only at the neighbor entries, gathered and put
+    back through flat indices precomputed here. Pairs at zero output distance
+    take one rule, `_clear_coincident_pairs`, before `_weighted_grad`.
     """
     m = dx.shape[0]
     iu = np.triu_indices(m, k=1)
@@ -193,67 +197,61 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
     dx_u = dx.take(flat)
 
     if method == "metric_mds":
+        scale = 2.0
 
         def stress(dy):
             return float(np.sum((dx_u - dy.take(flat)) ** 2))
 
-        def grad(y, dy):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if _distinct_points(dy):
-                    w = dy - dx
-                    w /= dy
-                else:
-                    w = np.where(dy > 0.0, (dy - dx) / dy, 0.0)
-            return 2.0 * _weighted_grad(w, y)
+        def weights(dy):
+            w = dy - dx
+            w /= dy
+            return w
 
     elif method == "sammon":
         _check_sammon_distances(iu, dx_u)
         c = np.sum(dx_u)
+        scale = 2.0 / c
 
         def stress(dy):
             return float(np.sum((dx_u - dy.take(flat)) ** 2 / dx_u) / c)
 
-        def grad(y, dy):
-            # dx is nonzero off the diagonal (checked above), and dy is zero on it
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if _distinct_points(dy):
-                    w = dy - dx
-                    w /= dx * dy
-                else:
-                    w = np.where(dy > 0.0, (dy - dx) / (dx * dy), 0.0)
-            return (2.0 / c) * _weighted_grad(w, y)
+        def weights(dy):
+            # dx is nonzero off the diagonal (checked above)
+            w = dy - dx
+            w /= dx * dy
+            return w
 
     else:
         near = mask.take(flat)
         near_flat, far_flat = flat[near], flat[~near]
         dx_near = dx_u[near]
-        far = ~mask
-        np.fill_diagonal(far, False)
         mask_flat = np.flatnonzero(mask)  # both (j, h) and (h, j) of each pair
         dx_mask = dx.take(mask_flat)
+        scale = 1.0
 
         def stress(dy):
             attraction = np.sum((dx_near - dy.take(near_flat)) ** 2)
             repulsion = np.sum(dy.take(far_flat))
             return float(attraction - t * repulsion)
 
-        def grad(y, dy):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if not _distinct_points(dy):
-                    inv = np.where(dy > 0.0, 1.0 / dy, 0.0)
-                    w = np.where(mask, 2.0 * (dy - dx) * inv, 0.0) - t * far * inv
-                    return _weighted_grad(w, y)
-                w = np.divide(1.0, dy)
-                # near pairs: 2 (dy - dx) / dy; the masked form subtracts (t * 0.0) * inv = +0
-                attraction = dy.take(mask_flat)
-                attraction -= dx_mask
-                attraction *= 2.0
-                attraction *= w.take(mask_flat)
-                # far pairs: 0 - t / dy, as the masked form's 0.0 - (t * 1.0) * inv
-                w *= t
-                np.subtract(0.0, w, out=w)
+        def weights(dy):
+            w = np.divide(1.0, dy)
+            # near pairs: 2 (dy - dx) / dy
+            attraction = dy.take(mask_flat)
+            attraction -= dx_mask
+            attraction *= 2.0
+            attraction *= w.take(mask_flat)
+            # far pairs: 0 - t / dy; subtracting from 0 gives +0, not -0, where t / dy is 0
+            w *= t
+            np.subtract(0.0, w, out=w)
             w.put(mask_flat, attraction)
-            return _weighted_grad(w, y)
+            return w
+
+    def grad(y, dy):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = weights(dy)
+        _clear_coincident_pairs(w, dy)
+        return scale * _weighted_grad(w, y)
 
     return stress, grad
 
@@ -289,8 +287,8 @@ def lmds_stress(dx: np.ndarray, y: np.ndarray, neighbors, t: float) -> float:
     """Localized stress: attraction on neighbor pairs, distance-proportional
     repulsion (weight t) on all other pairs."""
     _check_sizes(dx, y)
-    if not (t >= 0):  # negated, so that NaN fails too
-        raise ValueError("repulsion weight t must be nonnegative")
+    if not (0 <= t < math.inf):  # negated, so that NaN fails too
+        raise ValueError(f"repulsion weight t must be finite and nonnegative, got {t}")
     stress, _ = _objective("lmds", dx, _neighbor_mask(dx.shape[0], neighbors), t)
     return stress(pairwise_distances(y))
 

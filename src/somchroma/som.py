@@ -592,9 +592,17 @@ def grid_to_dict(grid: SomGrid, training_metadata: dict) -> dict:
     }
 
 
+def _integer_field(payload: dict, key: str) -> int:
+    """A grid size field; only a JSON integer (not a bool, float or string) is taken."""
+    value = field(payload, "som_grid", key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"som_grid.{key} must be an integer, got {value!r}")
+    return value
+
+
 def grid_from_dict(payload: dict) -> tuple[SomGrid, dict]:
     """Inverse of grid_to_dict; validates the schema envelope."""
     check_envelope(payload, "som_grid")
-    rows, cols, dim = (int(field(payload, "som_grid", k)) for k in ("rows", "cols", "dim"))
+    rows, cols, dim = (_integer_field(payload, k) for k in ("rows", "cols", "dim"))
     vectors = finite_matrix(payload, "som_grid", "reference_vectors", dim)
     return SomGrid(rows, cols, vectors), dict(payload.get("training_metadata", {}))

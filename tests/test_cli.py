@@ -183,6 +183,10 @@ def _drop(key):
     return lambda payload: payload.pop(key)
 
 
+def _set(key, value):
+    return lambda payload: payload.update({key: value})
+
+
 def _set_first_value(key, value):
     def edit(payload):
         payload[key][0][0] = value
@@ -202,8 +206,16 @@ def _set_first_value(key, value):
     ("project", "grid.json", _drop("dim"), "som_grid.dim is missing"),
     ("project", "grid.json", _set_first_value("reference_vectors", "x"),
      "som_grid.reference_vectors must be an Mx4 array of numbers"),
+    ("project", "grid.json", _set("rows", 6.9), "som_grid.rows must be an integer, got 6.9"),
+    ("project", "grid.json", _set("rows", "6"), "som_grid.rows must be an integer, got '6'"),
+    ("project", "grid.json", _set("rows", True), "som_grid.rows must be an integer, got True"),
+    ("project", "grid.json", _set("rows", None), "som_grid.rows must be an integer, got None"),
+    ("project", "grid.json", _set("cols", 7.0), "som_grid.cols must be an integer, got 7.0"),
+    ("render", "grid.json", _set("dim", 4.2), "som_grid.dim must be an integer, got 4.2"),
 ], ids=["train-no-values", "train-no-column-names", "train-nan", "train-ragged",
-        "render-no-values", "project-no-vectors", "project-no-dim", "project-not-numbers"])
+        "render-no-values", "project-no-vectors", "project-no-dim", "project-not-numbers",
+        "project-rows-float", "project-rows-string", "project-rows-bool", "project-rows-null",
+        "project-cols-float", "render-dim-float"])
 def test_missing_or_malformed_field_is_named(stage_inputs, tmp_path, capsys, command, name,
                                              edit, message):
     inputs = edited_inputs(stage_inputs, name, edit, tmp_path)

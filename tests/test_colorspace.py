@@ -117,6 +117,17 @@ def test_plane_from_dict_names_malformed_range(key, value):
         plane_from_dict(payload)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("b_rule", True), ("b_rule", None), ("b_rule", [10]), ("b_rule", {"b": 10}), ("b_rule", "b"),
+    ("name", 5), ("name", None),
+])
+def test_plane_from_dict_names_malformed_name_or_b_rule(key, value):
+    payload = {"name": "custom", "L_range": [30, 70], "a_range": [-20, 20], "b_rule": 10}
+    payload[key] = value
+    with pytest.raises(ValueError, match=rf"^plane\.{key} must be a "):
+        plane_from_dict(payload)
+
+
 def test_plane_rejects_bad_ranges():
     with pytest.raises(ValueError, match="L_range"):
         ColorPlane("bad", (80.0, 20.0), (-10.0, 10.0), 0.0)

@@ -244,7 +244,7 @@ def test_lmds_stress_matches_brute_force():
     assert abs(lmds_stress(dx, y, pairs, 0.1) - brute_lmds(dx, y, pairs, 0.1)) <= 1e-12
 
 
-@pytest.mark.parametrize("t", [-1.0, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
 def test_lmds_stress_rejects_bad_repulsion_weight(t):
     dx = pairwise_distances(np.eye(3))
     with pytest.raises(ValueError, match="nonnegative"):
@@ -376,10 +376,14 @@ def test_project_stress_equals_public_stress_bitwise(method):
     assert result.stress == expected
 
 
-@pytest.mark.parametrize("name", ["tolerance", "repulsion_t"])
-def test_projection_config_rejects_nan(name):
+@pytest.mark.parametrize("name, value", [
+    pytest.param("tolerance", float("nan"), id="tolerance"),
+    pytest.param("repulsion_t", float("nan"), id="repulsion_t"),
+    pytest.param("repulsion_t", float("inf"), id="repulsion_t-inf"),
+])
+def test_projection_config_rejects_nan(name, value):
     with pytest.raises(ValueError, match=name):
-        ProjectionConfig(**{name: float("nan")})
+        ProjectionConfig(**{name: value})
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -634,21 +638,24 @@ def test_objective_grad_matches_the_masked_oracle_bitwise(method, dx, y, mask, t
     assert same_bits(*grads(method, dx, y, mask, t))
 
 
-def test_objective_cases_take_the_paths_they_name():
+def test_objective_cases_hold_the_layouts_they_name():
     dists = {c.id: pairwise_distances(c.values[2]) for c in _objective_cases()}
     for name, dy in dists.items():
-        assert projection._distinct_points(dy) == ("coincident" not in name), name
+        off_diagonal = dy[~np.eye(len(dy), dtype=bool)]
+        assert np.any(off_diagonal == 0.0) == ("coincident" in name), name
     assert dists["sammon-floor"][0, 1] == math.sqrt(5e-324)
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_objective_grad_oracle_tells_the_unmasked_form_on_coincident_points_apart(
-        monkeypatch, method):
-    monkeypatch.setattr(projection, "_distinct_points", lambda dy: True)
-    for case in _objective_cases():
-        if case.id.startswith(f"{method}-coincident"):
+def test_objective_grad_oracle_tells_the_unmasked_form_on_coincident_points_apart(monkeypatch):
+    """A zero rule that clears only the diagonal leaves coincident pairs unmasked."""
+    monkeypatch.setattr(projection, "_clear_coincident_pairs",
+                        lambda w, dy: np.fill_diagonal(w, 0.0))
+    for method in METHODS:
+        cases = [c for c in _objective_cases() if c.id.startswith(f"{method}-coincident")]
+        assert cases, method
+        for case in cases:
             with np.errstate(invalid="ignore"):
-                assert not same_bits(*grads(*case.values))
+                assert not same_bits(*grads(*case.values)), case.id
 
 
 @pytest.fixture(scope="module")
