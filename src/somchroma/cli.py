@@ -245,9 +245,9 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
         "column_names": list(std.column_names),
         "row_labels": std.row_labels,
         "class_labels": std.class_labels,
-        "means": [float(v) for v in params.means],
-        "stddevs": [float(v) for v in params.stddevs],
-        "values": [[float(v) for v in row] for row in std.values],
+        "means": params.means.tolist(),
+        "stddevs": params.stddevs.tolist(),
+        "values": std.values.tolist(),
     }
 
 
@@ -268,7 +268,7 @@ def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
     print(f"selected sigma_final={sigma_final}", file=sys.stderr)
     metadata = {
         "epochs": cfg.epochs,
-        "sigma_schedule": [float(s) for s in result.sigmas],
+        "sigma_schedule": list(result.sigmas),
         "seed": cfg.seed,
         "goodness": g,
         "quantization_error": result.quantization_errors[-1],
@@ -294,7 +294,7 @@ def stage_color(embedding_payload: dict, cfg: PipelineConfig) -> dict:
         **envelope("unit_colors"),
         "plane": colorspace.plane_to_dict(plane),
         "swap_axes": bool(cfg.swap_axes),
-        "unit_coords": [[float(u), float(v)] for u, v in coords],
+        "unit_coords": coords.tolist(),
         "rgb": colors.tolist(),
         "hex": colorspace.hex_colors(colors),
     }

@@ -405,7 +405,7 @@ def project(vectors: np.ndarray, config: ProjectionConfig) -> ProjectionResult:
         points=y,
         stress=float(energy),
         iterations=iterations,
-        stress_history=tuple(float(e) for e in history),
+        stress_history=tuple(history),
         method=config.method,
         k_neighbors=k_used,
         repulsion_t=t_used,
@@ -469,7 +469,7 @@ def embedding_to_dict(result: ProjectionResult, config: ProjectionConfig) -> dic
             "tolerance": config.tolerance,
             "seed": config.seed,
         },
-        "points": [[float(a), float(b)] for a, b in result.points],
+        "points": result.points.tolist(),
         "final_stress": result.stress,
         "iterations": result.iterations,
     }

@@ -98,6 +98,11 @@ def _fmt(x: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _pitch(spec: RenderSpec) -> float:
+    """Center-to-center distance of neighboring cells: a diameter plus the gap."""
+    return 2.0 * spec.unit_radius_px * (1.0 + spec.spacing_fraction)
+
+
 def hex_layout(grid: SomGrid, spec: RenderSpec) -> tuple[np.ndarray, tuple[float, float]]:
     """Pixel-space unit centers and the canvas size that contains them.
 
@@ -105,7 +110,7 @@ def hex_layout(grid: SomGrid, spec: RenderSpec) -> tuple[np.ndarray, tuple[float
     sqrt(3)/2 of the horizontal one, so lattice neighbors stay equidistant.
     The step leaves a gap of spacing_fraction times the unit diameter.
     """
-    step = 2.0 * spec.unit_radius_px * (1.0 + spec.spacing_fraction)
+    step = _pitch(spec)
     pad = step / 2.0
     centers = grid.unit_positions * step + pad
     width = float(centers[:, 0].max() + pad)
@@ -113,33 +118,34 @@ def hex_layout(grid: SomGrid, spec: RenderSpec) -> tuple[np.ndarray, tuple[float
     return centers, (width, height)
 
 
-def _svg_open(width: float, height: float) -> list[str]:
-    return [
+def _svg(width: float, height: float, background: str, body: list[str]) -> str:
+    """The SVG document: header, background rectangle, body lines, closing tag."""
+    w, h = _fmt(width), _fmt(height)
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-    ]
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f'<rect x="0.000" y="0.000" width="{w}" height="{h}" fill="{background}"/>',
+        *body,
+        "</svg>\n",
+    ])
 
 
-def _background(width: float, height: float, color: str) -> str:
-    return (
-        f'<rect x="0.000" y="0.000" width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'fill="{color}"/>'
-    )
+# pointy-top hexagons match the lattice; triangles point up. Each angle keeps
+# the expression that fixes its bits, and so the written coordinates.
+_HEXAGON_ANGLES = tuple(math.pi / 2.0 + k * math.pi / 3.0 for k in range(6))
+_TRIANGLE_ANGLES = (
+    math.pi / 2.0, math.pi / 2.0 + 2.0 * math.pi / 3.0, math.pi / 2.0 + 4.0 * math.pi / 3.0
+)
 
 
-def _hexagon_points(cx: float, cy: float, r: float) -> str:
-    pts = []
-    for k in range(6):  # pointy-top orientation matches the lattice
-        ang = math.pi / 2.0 + k * math.pi / 3.0
-        pts.append(f"{_fmt(cx + r * math.cos(ang))},{_fmt(cy - r * math.sin(ang))}")
-    return " ".join(pts)
+def _polygon_points(cx: float, cy: float, r: float, angles: tuple[float, ...]) -> str:
+    return " ".join(f"{_fmt(cx + r * math.cos(a))},{_fmt(cy - r * math.sin(a))}" for a in angles)
 
 
 def _unit_shape_element(shape: str, cx: float, cy: float, r: float, fill: str) -> str:
     if shape == "circle":
         return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}"/>'
-    return f'<polygon points="{_hexagon_points(cx, cy, r)}" fill="{fill}"/>'
+    return f'<polygon points="{_polygon_points(cx, cy, r, _HEXAGON_ANGLES)}" fill="{fill}"/>'
 
 
 def _marker_element(shape: str, cx: float, cy: float, r: float) -> str:
@@ -147,11 +153,7 @@ def _marker_element(shape: str, cx: float, cy: float, r: float) -> str:
     if shape == "circle":
         return f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {style}/>'
     if shape == "triangle":
-        rr = 1.2 * r
-        pts = []
-        for ang in (math.pi / 2.0, math.pi / 2.0 + 2.0 * math.pi / 3.0, math.pi / 2.0 + 4.0 * math.pi / 3.0):
-            pts.append(f"{_fmt(cx + rr * math.cos(ang))},{_fmt(cy - rr * math.sin(ang))}")
-        return f'<polygon points="{" ".join(pts)}" {style}/>'
+        return f'<polygon points="{_polygon_points(cx, cy, 1.2 * r, _TRIANGLE_ANGLES)}" {style}/>'
     side = 1.7 * r
     return (
         f'<rect x="{_fmt(cx - side / 2.0)}" y="{_fmt(cy - side / 2.0)}" '
@@ -176,8 +178,8 @@ def render_som_svg(grid: SomGrid, colors: np.ndarray, overlay: Overlay, spec: Re
 
     `colors` is the Mx3 array `colorize` returns, row k filling unit k.
     Circles (default) leave room for the reference background; markers for
-    data mapped to a unit stack in a small spiral, ordered by class tag then
-    insertion order. Identical inputs yield identical bytes.
+    data mapped to a unit stack in a small spiral, in sorted class-tag order.
+    Identical inputs yield identical bytes.
     """
     m = grid.m
     fills = hex_colors(colors)
@@ -195,34 +197,27 @@ def render_som_svg(grid: SomGrid, colors: np.ndarray, overlay: Overlay, spec: Re
 
     marker_map = spec.marker_map if spec.marker_map is not None else assign_markers(overlay.all_tags())
 
-    lines = _svg_open(width, height)
-    lines.append(_background(width, height, spec.background))
-    for k in range(m):
-        cx, cy = centers[k]
-        lines.append(_unit_shape_element(spec.unit_shape, cx, cy, r, fills[k]))
+    body = [
+        _unit_shape_element(spec.unit_shape, cx, cy, r, fill) for (cx, cy), fill in zip(centers, fills)
+    ]
     for k in sorted(overlay.markers):
-        tags = sorted(
-            range(len(overlay.markers[k])), key=lambda i: (overlay.markers[k][i], i)
-        )
-        offsets = _marker_offsets(len(tags), r)
+        tags = sorted(overlay.markers[k])
         cx, cy = centers[k]
-        for (dx, dy), i in zip(offsets, tags):
-            tag = overlay.markers[k][i]
+        for (dx, dy), tag in zip(_marker_offsets(len(tags), r), tags):
             if tag not in marker_map:
                 raise ValueError(f"no marker shape assigned for class {tag!r}")
-            lines.append(_marker_element(marker_map[tag], cx + dx, cy + dy, spec.marker_radius))
+            body.append(_marker_element(marker_map[tag], cx + dx, cy + dy, spec.marker_radius))
     for k in sorted(overlay.labels):
         cx, cy = centers[k]
         texts = overlay.labels[k]
         for i, text in enumerate(texts):
             y = cy - r - 4.0 - (len(texts) - 1 - i) * fs
-            lines.append(
+            body.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(y)}" font-size="{_fmt(fs)}" '
                 f'text-anchor="middle" font-family="sans-serif">'
                 f'{html.escape(text, quote=False)}</text>'
             )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return _svg(width, height, spec.background, body)
 
 
 def render_scatter_svg(embedding: np.ndarray, colors: np.ndarray, spec: RenderSpec) -> str:
@@ -248,18 +243,13 @@ def render_scatter_svg(embedding: np.ndarray, colors: np.ndarray, spec: RenderSp
     scale = avail / ranges.max()
     mid = (maxs + mins) / 2.0
 
-    dot_r = max(2.0, 0.25 * spec.unit_radius_px)
-    lines = _svg_open(size, size)
-    lines.append(_background(size, size, spec.background))
-    for k in range(pts.shape[0]):
-        x = size / 2.0 + (pts[k, 0] - mid[0]) * scale
-        y = size / 2.0 - (pts[k, 1] - mid[1]) * scale  # flip: y grows downward in SVG
-        lines.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(dot_r)}" '
-            f'fill="{fills[k]}"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    dot_r = _fmt(max(2.0, 0.25 * spec.unit_radius_px))
+    body = []
+    for (px, py), fill in zip(pts, fills):
+        x = size / 2.0 + (px - mid[0]) * scale
+        y = size / 2.0 - (py - mid[1]) * scale  # flip: y grows downward in SVG
+        body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{dot_r}" fill="{fill}"/>')
+    return _svg(size, size, spec.background, body)
 
 
 def render_plane_swatch_svg(
@@ -271,7 +261,7 @@ def render_plane_swatch_svg(
     """
     if steps_u < 2 or steps_v < 2:
         raise ValueError("swatch sampling needs at least 2 steps per axis")
-    pitch = 2.0 * spec.unit_radius_px * (1.0 + spec.spacing_fraction)
+    pitch = _pitch(spec)
     side = 2.0 * spec.unit_radius_px
     pad = pitch / 2.0
     width = (steps_u - 1) * pitch + side + 2.0 * pad
@@ -281,13 +271,11 @@ def render_plane_swatch_svg(
     u, v = np.meshgrid(np.arange(steps_u) / (steps_u - 1), 1.0 - np.arange(steps_v) / (steps_v - 1))
     fills = hex_colors(colorize(np.column_stack([u.ravel(), v.ravel()]), plane))
 
-    lines = _svg_open(width, height)
-    lines.append(_background(width, height, spec.background))
+    body = []
     for k, fill in enumerate(fills):
         j, i = divmod(k, steps_u)
-        lines.append(
+        body.append(
             f'<rect x="{_fmt(pad + i * pitch)}" y="{_fmt(pad + j * pitch)}" '
             f'width="{_fmt(side)}" height="{_fmt(side)}" fill="{fill}"/>'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return _svg(width, height, spec.background, body)

@@ -104,6 +104,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("sigma_initial", "sigma_final"):
+            sigma = getattr(self, name)
+            if sigma is not None and not (sigma > 0):  # negated, so that NaN fails too
+                raise ValueError(f"{name} must be positive, got {sigma}")
 
     def resolved_initial(self, rows: int, cols: int) -> float:
         si = self.sigma_initial if self.sigma_initial is not None else max(rows, cols) / 2.0
@@ -442,11 +446,17 @@ def sigma_schedule(sigma_initial: float, sigma_final: float, epochs: int) -> tup
     if epochs == 1:
         return (float(sigma_initial),)
     steps = np.arange(epochs) / (epochs - 1)
-    return tuple(float(s) for s in sigma_initial + (sigma_final - sigma_initial) * steps)
+    return tuple((sigma_initial + (sigma_final - sigma_initial) * steps).tolist())
 
 
 def train(data: DataMatrix, rows: int, cols: int, config: TrainConfig) -> TrainResult:
-    """Run the full batch schedule; deterministic given data and config."""
+    """Run the full batch schedule; deterministic given data and config.
+
+    One schedule is trained: choosing among sigma_candidates is select_sigma's
+    job, so a config that sets them without a sigma_final is rejected.
+    """
+    if config.sigma_final is None and config.sigma_candidates is not None:
+        raise ValueError("train runs one schedule; pass sigma_candidates to select_sigma")
     si, sf = config.resolved_sigmas(rows, cols)
     sigmas = sigma_schedule(si, sf, config.epochs)
     grid = init_grid(rows, cols, data, config.seed)
@@ -587,7 +597,7 @@ def grid_to_dict(grid: SomGrid, training_metadata: dict) -> dict:
         "rows": grid.rows,
         "cols": grid.cols,
         "dim": grid.dim,
-        "reference_vectors": [[float(v) for v in row] for row in grid.reference_vectors],
+        "reference_vectors": grid.reference_vectors.tolist(),
         "training_metadata": training_metadata,
     }
 
@@ -605,4 +615,9 @@ def grid_from_dict(payload: dict) -> tuple[SomGrid, dict]:
     check_envelope(payload, "som_grid")
     rows, cols, dim = (_integer_field(payload, k) for k in ("rows", "cols", "dim"))
     vectors = finite_matrix(payload, "som_grid", "reference_vectors", dim)
+    if rows * cols != len(vectors):
+        raise ValueError(
+            f"som_grid.rows x som_grid.cols is {rows}x{cols} = {rows * cols} units, "
+            f"but som_grid.reference_vectors has {len(vectors)}"
+        )
     return SomGrid(rows, cols, vectors), dict(payload.get("training_metadata", {}))

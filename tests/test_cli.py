@@ -212,10 +212,12 @@ def _set_first_value(key, value):
     ("project", "grid.json", _set("rows", None), "som_grid.rows must be an integer, got None"),
     ("project", "grid.json", _set("cols", 7.0), "som_grid.cols must be an integer, got 7.0"),
     ("render", "grid.json", _set("dim", 4.2), "som_grid.dim must be an integer, got 4.2"),
+    ("project", "grid.json", _set("rows", 7),
+     "som_grid.rows x som_grid.cols is 7x4 = 28 units, but som_grid.reference_vectors has 16"),
 ], ids=["train-no-values", "train-no-column-names", "train-nan", "train-ragged",
         "render-no-values", "project-no-vectors", "project-no-dim", "project-not-numbers",
         "project-rows-float", "project-rows-string", "project-rows-bool", "project-rows-null",
-        "project-cols-float", "render-dim-float"])
+        "project-cols-float", "render-dim-float", "project-size-mismatch"])
 def test_missing_or_malformed_field_is_named(stage_inputs, tmp_path, capsys, command, name,
                                              edit, message):
     inputs = edited_inputs(stage_inputs, name, edit, tmp_path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -279,3 +280,57 @@ def test_render_swatch_mid_column_is_gray():
 def test_render_swatch_rejects_single_step():
     with pytest.raises(ValueError, match="at least 2 steps"):
         render_plane_swatch_svg(get_plane("cyan-gray-red"), 1, 5, RenderSpec())
+
+
+# ----------------------------------------------------------------------------
+# golden bytes: the sha256 of each SVG for fixed inputs. No bench workload
+# draws hexagons, labels, a non-default background or a swatch, so these are
+# the only hashes that pin those bytes; a change that moves them must say why.
+
+def _golden_som_hexagons():
+    grid = make_grid(6, 7)
+    colors = np.random.default_rng(5).uniform(0.0, 1.0, (42, 3))
+    overlay = Overlay(
+        labels={0: ["corner"], 9: ["<&>", "two lines"], 41: ["last"]},
+        markers={0: ["a"], 4: ["b", "a", "b"], 20: ["c", "c"], 33: ["a", "b", "c", "a"]},
+    )
+    return render_som_svg(grid, colors, overlay, RenderSpec(unit_shape="hexagon"))
+
+
+def _golden_som_circles():
+    grid = make_grid(3, 4)
+    colors = np.random.default_rng(6).uniform(0.0, 1.0, (12, 3))
+    overlay = Overlay(markers={1: ["x", "y"], 10: ["y"]})
+    spec = RenderSpec(background="#1a2b3c", spacing_fraction=0.3, unit_radius_px=12.5)
+    return render_som_svg(grid, colors, overlay, spec)
+
+
+def _golden_scatter():
+    rng = np.random.default_rng(7)
+    pts = rng.standard_normal((30, 2)) * [3.0, 0.5] - [4.0, 2.0]
+    return render_scatter_svg(pts, rng.uniform(0.0, 1.0, (30, 3)), RenderSpec())
+
+
+GOLDEN_SVGS = {
+    "som-hexagons-labels-markers": (
+        _golden_som_hexagons,
+        "cceba17b1c06ac03ea998ec82326319417fb1175f353a15448906254420ca709"),
+    "som-circles-background-spacing": (
+        _golden_som_circles,
+        "dcccc14ac1a7150b8bb787c8561a55ce090c18f608f6e123a3c0f24b9110f5d1"),
+    "scatter-negative-coordinates": (
+        _golden_scatter,
+        "0cd02510ce602727b700fc09a81b6dd1f0df11c2609792df986b51046cc87092"),
+    "swatch-green-yellow-red": (
+        lambda: render_plane_swatch_svg(get_plane("green-yellow-red"), 11, 5, RenderSpec()),
+        "398d29a62751dd7b0739f754969f291aa3febb7924a1d6f17768e56da4faba76"),
+    "swatch-cyan-gray-red": (
+        lambda: render_plane_swatch_svg(get_plane("cyan-gray-red"), 11, 5, RenderSpec()),
+        "d84c41763ad3da184417c7d16e4ef61465ac13b4d9e3f7ac0ccadc193e40aa46"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SVGS)
+def test_renderers_keep_their_golden_bytes(name):
+    render, digest = GOLDEN_SVGS[name]
+    assert hashlib.sha256(render().encode("utf-8")).hexdigest() == digest

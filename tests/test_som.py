@@ -869,22 +869,34 @@ def test_final_sigmas(config, rows, cols, expected):
     assert config.final_sigmas(rows, cols) == expected
 
 
-@pytest.mark.parametrize("config, rows, cols, message", [
-    (TrainConfig(sigma_candidates=()), 3, 3, "sigma_candidates must be non-empty"),
-    (TrainConfig(sigma_candidates=(0.4, 5.0)), 3, 3, r"sigma candidate 5.0 outside \(0, "),
-    (TrainConfig(sigma_candidates=(0.0,)), 3, 3, "outside"),
-    (TrainConfig(sigma_initial=0.3), 3, 3, "no default sigma candidate fits"),
-    (TrainConfig(sigma_initial=0.5, sigma_final=2.0), 3, 3, "need 0 < sigma_final"),
-    (TrainConfig(), 0, 3, "grid must have at least one row and one column"),
-    (TrainConfig(sigma_final=0.5), 3, 0, "grid must have at least one row and one column"),
-    (TrainConfig(), 1, 1, "grid 1x1 has 1 unit; a map needs at least 2"),
-    (TrainConfig(sigma_initial=3.0, sigma_candidates=(0.4, 0.7)), 1, 1, "grid 1x1 has 1"),
-    (TrainConfig(sigma_final=0.5), 1, 1, "grid 1x1 has 1 unit"),
+@pytest.mark.parametrize("settings, rows, cols, message", [
+    (dict(sigma_candidates=()), 3, 3, "sigma_candidates must be non-empty"),
+    (dict(sigma_candidates=(0.4, 5.0)), 3, 3, r"sigma candidate 5.0 outside \(0, "),
+    (dict(sigma_candidates=(0.0,)), 3, 3, "outside"),
+    (dict(sigma_initial=0.3), 3, 3, "no default sigma candidate fits"),
+    (dict(sigma_initial=0.5, sigma_final=2.0), 3, 3, "need 0 < sigma_final"),
+    (dict(sigma_initial=-1.0), 6, 7, "sigma_initial must be positive, got -1.0"),
+    (dict(sigma_initial=float("nan")), 6, 7, "sigma_initial must be positive, got nan"),
+    (dict(sigma_final=-1.0), 6, 7, "sigma_final must be positive, got -1.0"),
+    (dict(sigma_final=0.0), 6, 7, "sigma_final must be positive, got 0.0"),
+    (dict(sigma_final=float("nan")), 6, 7, "sigma_final must be positive, got nan"),
+    (dict(), 0, 3, "grid must have at least one row and one column"),
+    (dict(sigma_final=0.5), 3, 0, "grid must have at least one row and one column"),
+    (dict(), 1, 1, "grid 1x1 has 1 unit; a map needs at least 2"),
+    (dict(sigma_initial=3.0, sigma_candidates=(0.4, 0.7)), 1, 1, "grid 1x1 has 1"),
+    (dict(sigma_final=0.5), 1, 1, "grid 1x1 has 1 unit"),
 ], ids=["empty", "out-of-range", "zero", "no-default-fits", "final-above-initial",
+        "initial-negative", "initial-nan", "final-negative", "final-zero", "final-nan",
         "grid-0x3", "grid-3x0", "one-unit", "one-unit-over-candidates", "one-unit-fixed"])
-def test_final_sigmas_rejects(config, rows, cols, message):
+def test_final_sigmas_rejects(settings, rows, cols, message):
     with pytest.raises(ValueError, match=message):
-        config.final_sigmas(rows, cols)
+        TrainConfig(**settings).final_sigmas(rows, cols)
+
+
+def test_train_rejects_candidates_without_a_final_sigma(iris_std, monkeypatch):
+    monkeypatch.setattr(som, "init_grid", None)  # rejected before any training
+    with pytest.raises(ValueError, match="pass sigma_candidates to select_sigma"):
+        train(iris_std, 6, 7, TrainConfig(epochs=3, sigma_candidates=(0.4,)))
 
 
 # ----------------------------------------------------------------------------
