@@ -286,6 +286,8 @@ def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
     # conventional GEMM (each entry a sum of n products), not a Strassen-like
     # one. With S <= 2**510, every intermediate is below S^2 (1 + g_{n+2}) <
     # 2**1021; a row past that, or with a NaN, keeps every unit.
+    # A safe row whose (k + 1)-th smallest s exceeds t + margin has only the
+    # k units with s <= t as candidates, so they are its top k unchanged.
     reach = np.sqrt(x2) + np.sqrt(w2.max())
     margin = 8 * (n + 4) * (_UNIT_ROUNDOFF * reach * reach + _SMALLEST_SUBNORMAL)
     unsafe = ~(reach <= _SAFE_REACH)
@@ -294,30 +296,44 @@ def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
     squared = np.empty((values.shape[0], k))
     step = max(1, _BLOCK_PAIRS // vectors.shape[0])
     for lo in range(0, values.shape[0], step):
-        rows = slice(lo, lo + step)
-        x = values[rows]
+        x = values[lo:lo + step]
         s = x @ scaled
         s += w2
-        # the k-th smallest: hide the k - 1 smallest, take the minimum, restore
+        # hide the k smallest; what is left has the (k + 1)-th smallest (inf if M == k)
         at = np.arange(x.shape[0])
-        hidden = []
-        for _ in range(k - 1):
-            j = s.argmin(axis=1)
-            hidden.append((j, s[at, j]))
+        near = np.empty((x.shape[0], k), dtype=np.intp)
+        for i in range(k):
+            near[:, i] = j = s.argmin(axis=1)
+            kth = s[at, j]
             s[at, j] = np.inf
-        kth = s.min(axis=1)
-        for j, v in reversed(hidden):
-            s[at, j] = v
-        keep = s <= (kth + margin[rows])[:, None]
-        keep[unsafe[rows]] = True
+        bound = kth + margin[lo:lo + step]
+        clear = (s.min(axis=1) > bound) & ~unsafe[lo:lo + step]
+
+        # every row's k hidden units, ordered by rank(squared), then index:
+        # the answer for clear rows; the rows below overwrite the others
+        diff = x[:, None, :] - vectors[near]
+        d = np.einsum("ijk,ijk->ij", diff, diff)
+        if k > 1:
+            order = np.lexsort((near, d if rank is None else rank(d)), axis=1)
+            near, d = near[at[:, None], order], d[at[:, None], order]
+        indices[lo:lo + step] = near
+        squared[lo:lo + step] = d
+
+        # the other rows: the hidden k and every unit with s <= t + margin (all if unsafe)
+        rows = np.flatnonzero(~clear)
+        if not rows.size:
+            continue
+        keep = s[rows] <= bound[rows, None]
+        keep[np.arange(rows.size)[:, None], near[rows]] = True
+        keep[unsafe[lo + rows]] = True
         r, c = np.divmod(np.flatnonzero(keep), vectors.shape[0])
-        diff = x[r] - vectors[c]
+        diff = x[rows[r]] - vectors[c]
         d = np.einsum("ij,ij->i", diff, diff)
         order = np.lexsort((c, d if rank is None else rank(d), r))
-        counts = np.bincount(r, minlength=x.shape[0])
+        counts = np.bincount(r, minlength=rows.size)
         first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        indices[rows] = c[first]
-        squared[rows] = d[first]
+        indices[lo + rows] = c[first]
+        squared[lo + rows] = d[first]
     return indices, squared
 
 
@@ -384,8 +400,10 @@ def batch_epoch(
 
     New vector m_i = sum_j h(c(j), i) x_j / sum_j h(c(j), i) with
     h(c, i) = exp(-||p_c - p_i||^2 / (2 sigma^2)) over planar unit positions.
-    Units receiving zero total weight (all kernel values underflow) keep
-    their previous vector. `bmus`, when given, must be
+    A sigma so small that 2 sigma^2 underflows to zero gives that kernel's
+    limit, 1 at distance 0 and 0 elsewhere: each unit takes the mean of its
+    own rows, a k-means step. Units receiving zero total weight (all kernel
+    values underflow) keep their previous vector. `bmus`, when given, must be
     bmu_indices(data.values, grid); passing it saves that search.
     """
     if not (sigma > 0):  # negated, so that NaN fails too
@@ -417,9 +435,13 @@ def batch_epoch(
     dy *= dy
     kernel += dy
     del dy
-    kernel /= -2.0 * sigma * sigma
-    with np.errstate(under="ignore"):
-        np.exp(kernel, out=kernel)
+    width = -2.0 * sigma * sigma
+    if width == 0.0:  # 2 sigma^2 underflows: the zero-width kernel, 1 at distance 0 only
+        kernel = (kernel == 0.0).astype(float)
+    else:
+        kernel /= width
+        with np.errstate(under="ignore"):
+            np.exp(kernel, out=kernel)
 
     # each column sums the live units' terms in unit order, from +0.0, as a
     # running sum over the units would: the reduction is deterministic
@@ -453,21 +475,44 @@ def train(data: DataMatrix, rows: int, cols: int, config: TrainConfig) -> TrainR
     """Run the full batch schedule; deterministic given data and config.
 
     One schedule is trained: choosing among sigma_candidates is select_sigma's
-    job, so a config that sets them without a sigma_final is rejected.
+    job, so a config that sets them without a sigma_final is rejected. The
+    result is bit for bit the one select_sigma gives for the same final sigma.
     """
     if config.sigma_final is None and config.sigma_candidates is not None:
         raise ValueError("train runs one schedule; pass sigma_candidates to select_sigma")
-    si, sf = config.resolved_sigmas(rows, cols)
-    sigmas = sigma_schedule(si, sf, config.epochs)
+    sf = config.resolved_sigmas(rows, cols)[1]
+    return _train_schedules(data, rows, cols, config, (sf,))[0]
+
+
+def _train_schedules(
+    data: DataMatrix, rows: int, cols: int, config: TrainConfig, finals: tuple[float, ...]
+) -> list[TrainResult]:
+    """One trained map per final sigma in `finals`, each from config's sigma_initial.
+
+    Every schedule's first sigma is sigma_initial exactly (si + (sf - si) * 0.0),
+    so all maps share the initial grid, the first epoch and the searches on
+    both sides of it. That prefix is trained once, and each schedule goes on
+    from it; every result is the one a separate run of its schedule gives.
+    """
+    si = config.resolved_initial(rows, cols)
+    schedules = [sigma_schedule(si, sf, config.epochs) for sf in finals]
+
+    def run(grid, bmus, sigmas):
+        errors = []
+        for sigma in sigmas:
+            grid = batch_epoch(grid, data, sigma, bmus)
+            # one search per grid: this grid's error and the next epoch's update
+            bmus = bmu_indices(data.values, grid)
+            errors.append(_mean_bmu_distance(data.values, grid, bmus))
+        return grid, bmus, errors
+
     grid = init_grid(rows, cols, data, config.seed)
-    bmus = bmu_indices(data.values, grid)
-    errors = []
-    for sigma in sigmas:
-        grid = batch_epoch(grid, data, sigma, bmus)
-        # one search per grid: this grid's error and the next epoch's update
-        bmus = bmu_indices(data.values, grid)
-        errors.append(_mean_bmu_distance(data.values, grid, bmus))
-    return TrainResult(grid, sigmas, tuple(errors))
+    grid, bmus, first = run(grid, bmu_indices(data.values, grid), schedules[0][:1])
+    results = []
+    for sigmas in schedules:
+        end, _, errors = run(grid, bmus, sigmas[1:])
+        results.append(TrainResult(end, sigmas, tuple(first + errors)))
+    return results
 
 
 def _mean_bmu_distance(values: np.ndarray, grid: SomGrid, bmus: np.ndarray) -> float:
@@ -573,16 +618,14 @@ def select_sigma(
 
     Returns the sigma minimizing goodness together with its trained result
     and its goodness; goodness ties within 1e-12 resolve to the smaller
-    sigma.
+    sigma. The candidates share their first epoch (_train_schedules), and
+    each result is bit for bit train's for that final sigma.
     """
-    si = config.resolved_initial(rows, cols)
-    results = []
-    for sf in config.final_sigmas(rows, cols):
-        run = TrainConfig(
-            epochs=config.epochs, sigma_initial=si, sigma_final=sf, seed=config.seed
-        )
-        result = train(data, rows, cols, run)
-        results.append((sf, result, goodness(result.grid, data)))
+    finals = config.final_sigmas(rows, cols)
+    results = [
+        (sf, result, goodness(result.grid, data))
+        for sf, result in zip(finals, _train_schedules(data, rows, cols, config, finals))
+    ]
     best_g = min(g for _, _, g in results)
     for sf, result, g in results:  # ascending sigma: first within tolerance wins
         if g <= best_g + 1e-12:

@@ -194,6 +194,31 @@ def test_batch_epoch_tiny_sigma_is_kmeans_step():
     assert np.allclose(new.reference_vectors[1], [1.1, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 5e-324])
+def test_batch_epoch_sigma_whose_square_underflows_is_kmeans_step(iris_std, sigma):
+    # 2 sigma^2 rounds to zero here; at 1e-150 it is normal and the kernel
+    # already rounds to 1 at distance 0 and 0 elsewhere
+    assert -2.0 * sigma * sigma == 0.0
+    grid = init_grid(3, 3, iris_std, seed=0)
+    bmus = bmu_indices(iris_std.values, grid)
+    new = batch_epoch(grid, iris_std, sigma, bmus).reference_vectors
+    expected = batch_epoch(grid, iris_std, 1e-150, bmus).reference_vectors
+    assert np.array_equal(new.view(np.uint64), expected.view(np.uint64))
+    for u in np.unique(bmus):
+        rows = iris_std.values[bmus == u]
+        assert new[u].tolist() == [math.fsum(col) / len(rows) for col in rows.T.tolist()]
+
+
+def test_train_with_a_sigma_whose_square_underflows_runs_kmeans(iris_std):
+    def run(sigma):
+        return train(iris_std, 3, 3, TrainConfig(epochs=3, sigma_initial=sigma, sigma_final=sigma))
+
+    tiny, small = run(1e-200), run(1e-150)
+    assert np.array_equal(tiny.grid.reference_vectors, small.grid.reference_vectors)
+    assert tiny.quantization_errors == small.quantization_errors
+    assert tiny.quantization_errors[0] < quantization_error(init_grid(3, 3, iris_std), iris_std)
+
+
 def test_batch_epoch_huge_sigma_gives_global_mean():
     rng = np.random.default_rng(8)
     values = rng.standard_normal((15, 3))
@@ -653,6 +678,53 @@ def _overflow_rows_among_normal_rows(rng):
     return _on_grid(values, vectors, 4)
 
 
+def _kth_ties(rng):
+    # a duplicated pair and a triple: a row by the pair has its first and
+    # second units tied, and a row by the triple also its second and third,
+    # so the (k + 1)-th smallest ties the k-th for k = 1 and, by the triple, k = 2
+    vectors = rng.standard_normal((24, 5))
+    vectors[7] = vectors[2]
+    vectors[13] = vectors[19] = vectors[5]
+    near = vectors[rng.choice([2, 5], size=60)] + 1e-3 * rng.standard_normal((60, 5))
+    on = vectors[[2, 5, 7, 13, 19]]
+    return _on_grid(np.vstack([near, on, rng.standard_normal((40, 5))]), vectors, 6)
+
+
+def _two_units(rng):
+    # M == k for goodness: no (k + 1)-th unit, and the midway rows tie
+    vectors = rng.standard_normal((2, 3))
+    midway = (vectors[0] + vectors[1]) / 2.0
+    return _on_grid(np.vstack([rng.standard_normal((50, 3)), midway, midway]), vectors, 2)
+
+
+def _clear_tied_and_unsafe_rows(rng):
+    # cycles through a clear row, a row on a tripled unit, a row whose
+    # |x|^2 overflows and one past the safe reach, so that every block,
+    # 7 rows or all of them, holds rows of each kind
+    vectors = rng.standard_normal((18, 4))
+    vectors[9] = vectors[13] = vectors[4]
+    kinds = [
+        rng.standard_normal((12, 4)),
+        vectors[[4, 9, 13] * 4],
+        np.full((12, 4), 1e200) * rng.choice([-1.0, 1.0], size=(12, 4)),
+        np.full((12, 4), 5e153) * rng.choice([-1.0, 1.0], size=(12, 4)),
+    ]
+    values = np.stack(kinds, axis=1).reshape(-1, 4)
+    assert len(values) * len(vectors) <= som._BLOCK_PAIRS
+    return _on_grid(values, vectors, 6)
+
+
+def _past_the_safe_reach_with_a_finite_margin(rng):
+    # unit 3 lies past the safe reach, so every row is unsafe, but |x|^2 and
+    # the margin stay finite; x . w overflows for unit 3, whose s is then the
+    # row minimum (-inf) though unit 4 is nearer
+    vectors = rng.standard_normal((12, 4))
+    vectors[3] = [1.3e154, 0.0, 0.0, 0.0]
+    vectors[4] = [0.85e154, 0.0, 0.0, 0.0]
+    values = np.vstack([[[1e154, 0.0, 0.0, 0.0]] * 3, rng.standard_normal((20, 4))])
+    return _on_grid(values, vectors, 4)
+
+
 def _several_blocks(rng):
     data = make_gaussian_clusters(3000, 8, n_clusters=8, seed=int(rng.integers(100)))
     grid = init_grid(20, 20, data, seed=0)
@@ -670,6 +742,10 @@ NEAREST_CASES = {
     "sqrt-rounding-tie": _sqrt_rounding_tie,
     "overflow": _overflow,
     "overflow-rows-among-normal-rows": _overflow_rows_among_normal_rows,
+    "kth-ties": _kth_ties,
+    "two-units": _two_units,
+    "clear-tied-and-unsafe-rows": _clear_tied_and_unsafe_rows,
+    "past-the-safe-reach-with-a-finite-margin": _past_the_safe_reach_with_a_finite_margin,
     "several-blocks": _several_blocks,
 }
 
@@ -837,24 +913,73 @@ def test_select_sigma_rejects_out_of_range_candidate(iris_std):
 
 
 def test_select_sigma_trains_only_a_set_sigma_final(iris_std, monkeypatch):
-    real_train = som.train
-    finals = []
+    real_epoch = som.batch_epoch
+    sigmas = []
 
-    def counting_train(data, rows, cols, config):
-        finals.append(config.sigma_final)
-        return real_train(data, rows, cols, config)
+    def counting_epoch(grid, data, sigma, bmus=None):
+        sigmas.append(sigma)
+        return real_epoch(grid, data, sigma, bmus)
 
-    monkeypatch.setattr(som, "train", counting_train)
+    monkeypatch.setattr(som, "batch_epoch", counting_epoch)
     sigma, result, g = select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, sigma_final=0.9))
-    assert finals == [0.9]
+    assert sigmas == [1.5, 0.9]  # each default candidate would add its own last epoch
     assert sigma == 0.9 and result.sigmas == (1.5, 0.9)
     assert g == goodness(result.grid, iris_std)
 
 
 def test_select_sigma_rejects_one_unit(iris_std, monkeypatch):
-    monkeypatch.setattr(som, "train", None)  # rejected before any training
+    # rejected before any training
+    monkeypatch.setattr(som, "init_grid", None)
+    monkeypatch.setattr(som, "batch_epoch", None)
     with pytest.raises(ValueError, match="grid 1x1 has 1 unit; a map needs at least 2"):
         select_sigma(iris_std, 1, 1, TrainConfig(epochs=2))
+
+
+def separate_train(data, rows, cols, sigma_initial, sigma_final, epochs):
+    """Oracle: one schedule trained on its own, searching each grid once."""
+    sigmas = sigma_schedule(sigma_initial, sigma_final, epochs)
+    grid = init_grid(rows, cols, data, seed=0)
+    bmus = bmu_indices(data.values, grid)
+    errors = []
+    for sigma in sigmas:
+        grid = batch_epoch(grid, data, sigma, bmus)
+        bmus = bmu_indices(data.values, grid)
+        errors.append(quantization_error(grid, data))
+    return grid, sigmas, tuple(errors)
+
+
+def assert_same_training(result, grid, sigmas, errors):
+    assert np.array_equal(result.grid.reference_vectors.view(np.uint64),
+                          grid.reference_vectors.view(np.uint64))
+    assert result.sigmas == sigmas
+    assert result.quantization_errors == errors
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3, 5])
+def test_candidates_sharing_their_first_epoch_train_as_if_alone(iris_std, epochs):
+    cfg = TrainConfig(epochs=epochs, sigma_candidates=(0.5, 0.8, 1.1), seed=0)
+    finals = cfg.final_sigmas(4, 5)
+    for sf, result in zip(finals, som._train_schedules(iris_std, 4, 5, cfg, finals)):
+        assert_same_training(result, *separate_train(iris_std, 4, 5, 2.5, sf, epochs))
+    sigma, result, _ = select_sigma(iris_std, 4, 5, cfg)
+    alone = train(iris_std, 4, 5, TrainConfig(epochs=epochs, sigma_final=sigma, seed=0))
+    assert_same_training(result, alone.grid, alone.sigmas, alone.quantization_errors)
+
+
+@pytest.mark.parametrize("candidates", [(0.9,), (0.5, 0.8, 1.1)])
+@pytest.mark.parametrize("epochs", [1, 2, 3, 5])
+def test_select_sigma_searches_and_updates_the_shared_first_epoch_once(
+    iris_std, monkeypatch, candidates, epochs
+):
+    calls = {"bmu_indices": 0, "batch_epoch": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(som, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(som, name, counted)
+    select_sigma(iris_std, 3, 4, TrainConfig(epochs=epochs, sigma_candidates=candidates))
+    later = len(candidates) * (epochs - 1)
+    assert calls == {"bmu_indices": 2 + later, "batch_epoch": 1 + later}
 
 
 @pytest.mark.parametrize("config, rows, cols, expected", [
