@@ -94,6 +94,10 @@ class ProjectionResult:
     repulsion_t: float | None = None
 
 
+# Differences pairwise_distances holds at once for 3 or more columns (1 MB).
+_BLOCK_ENTRIES = 1 << 17
+
+
 def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
     """Full symmetric Euclidean distance matrix with an exactly zero diagonal."""
     vectors = np.asarray(vectors, dtype=float)
@@ -112,8 +116,14 @@ def pairwise_distances(vectors: np.ndarray) -> np.ndarray:
             d += diff
         np.sqrt(d, out=d)
     else:
-        diff = vectors[:, None, :] - vectors[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        # the einsum over the M x M x n differences, a block of rows at a
+        # time: each entry is the same sum, without the whole tensor
+        d = np.empty((len(vectors), len(vectors)))
+        step = max(1, _BLOCK_ENTRIES // vectors.size)
+        for lo in range(0, len(vectors), step):
+            diff = vectors[lo:lo + step, None, :] - vectors[None, :, :]
+            np.einsum("ijk,ijk->ij", diff, diff, out=d[lo:lo + step])
+        np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
 

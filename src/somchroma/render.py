@@ -8,7 +8,6 @@ element order and fixed 3-decimal coordinate formatting.
 
 from __future__ import annotations
 
-import html
 import math
 from dataclasses import dataclass, field
 
@@ -212,10 +211,11 @@ def render_som_svg(grid: SomGrid, colors: np.ndarray, overlay: Overlay, spec: Re
         texts = overlay.labels[k]
         for i, text in enumerate(texts):
             y = cy - r - 4.0 - (len(texts) - 1 - i) * fs
+            # html.escape(text, quote=False), without importing html's entity tables
+            text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             body.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(y)}" font-size="{_fmt(fs)}" '
-                f'text-anchor="middle" font-family="sans-serif">'
-                f'{html.escape(text, quote=False)}</text>'
+                f'text-anchor="middle" font-family="sans-serif">{text}</text>'
             )
     return _svg(width, height, spec.background, body)
 

@@ -125,27 +125,31 @@ class TrainConfig:
 
         One when sigma_final is set. Otherwise the candidates to choose from:
         sigma_candidates, or the defaults up to sigma_initial. A grid needs at
-        least 2 units, as goodness, the projection and the coloring do.
+        least 2 units, as goodness, the projection and the coloring do, and
+        each final sigma's schedule must be one sigma_schedule accepts.
         """
         if rows < 1 or cols < 1:
             raise ValueError("grid must have at least one row and one column")
         if rows * cols < 2:
             raise ValueError(f"grid {rows}x{cols} has 1 unit; a map needs at least 2")
-        if self.sigma_final is not None:
-            return (self.resolved_sigmas(rows, cols)[1],)
         si = self.resolved_initial(rows, cols)
-        if self.sigma_candidates is None:
+        if self.sigma_final is not None:
+            cands = (self.resolved_sigmas(rows, cols)[1],)
+        elif self.sigma_candidates is None:
             cands = tuple(s for s in DEFAULT_SIGMA_CANDIDATES if s <= si)
             if not cands:
                 raise ValueError(f"no default sigma candidate fits sigma_initial={si}")
-            return cands
-        cands = tuple(float(s) for s in self.sigma_candidates)
-        if not cands:
-            raise ValueError("sigma_candidates must be non-empty")
+        else:
+            cands = tuple(float(s) for s in self.sigma_candidates)
+            if not cands:
+                raise ValueError("sigma_candidates must be non-empty")
+            for s in cands:
+                if not (0.0 < s <= si):
+                    raise ValueError(f"sigma candidate {s} outside (0, sigma_initial={si}]")
+            cands = tuple(sorted(cands))
         for s in cands:
-            if not (0.0 < s <= si):
-                raise ValueError(f"sigma candidate {s} outside (0, sigma_initial={si}]")
-        return tuple(sorted(cands))
+            sigma_schedule(si, s, self.epochs)
+        return cands
 
 
 @dataclass(frozen=True)
@@ -240,7 +244,7 @@ def bmu_indices(values: np.ndarray, grid: SomGrid) -> np.ndarray:
         raise ValueError(
             f"data of dimension {values.shape[1]} against grid of dim {grid.dim}"
         )
-    return _nearest(values, grid.reference_vectors, 1)[0][:, 0]
+    return _nearest(values, grid.reference_vectors[None], 1)[0][:, 0, 0]
 
 
 # Rows x units searched at once: the GEMM block and its copies, not N x M x n,
@@ -253,21 +257,25 @@ _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 _SAFE_REACH = 2.0**510
 
 
-def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
-    """Each row's k nearest units, nearest first, with exact squared distances.
+def _nearest(values: np.ndarray, stack: np.ndarray, k: int, rank=None):
+    """Each row's k nearest units in each of C grids, nearest first, with exact squared distances.
 
-    Returns (indices, squared), both N x k. Units are ordered by
-    rank(squared) (by default the squared distance itself) and then by index,
-    so ties go to the lowest index. squared[i, j] is the same float as
-    einsum("ijk,ijk->ij") over all N x M differences would give, so the
-    choice is too; only the candidates are computed that way.
+    `stack` holds the grids' vectors, C x M x n. Returns (indices, squared),
+    both N x C x k. Units are ordered by rank(squared) (by default the
+    squared distance itself) and then by index, so ties go to the lowest
+    index. squared[i, c, j] is the same float as einsum("ijk,ijk->ij") over
+    all N x M differences to grid c would give, so the choice is too; only
+    the candidates are computed that way. Each (row, grid) pair, pair
+    p = i C + c, is searched as a row against that grid alone is, with that
+    grid's margin; one GEMM per block of rows covers all C M units.
     """
-    n = values.shape[1]
+    grids, m, n = stack.shape
     x2 = np.einsum("ij,ij->i", values, values)
-    w2 = np.einsum("ij,ij->i", vectors, vectors)
+    w2 = np.einsum("ijk,ijk->ij", stack, stack)
     # Rounding bound. With u = 2**-53, g_m = m u / (1 - m u), D = |x - w|^2
-    # and S = |x| + max|w| (`reach`), any summation order, FMA use or thread
-    # split gives (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+    # and S = |x| + max|w| (`reach`, max over the pair's grid), any summation
+    # order, FMA use or thread split gives (Higham, Accuracy and Stability of
+    # Numerical Algorithms, ch. 3):
     #   the GEMM form  s = |w|^2 - 2 x.w:       |s + |x|^2 - D| <= g_{n+2} S^2,
     #   the einsum     d = sum_k (x_k - w_k)^2:  |d - D| <= g_{n+2} D <= g_{n+2} S^2.
     # Scaling w by -2 is exact, the GEMM's error is at most g_n 2|x||w|, that
@@ -288,20 +296,26 @@ def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
     # 2**1021; a row past that, or with a NaN, keeps every unit.
     # A safe row whose (k + 1)-th smallest s exceeds t + margin has only the
     # k units with s <= t as candidates, so they are its top k unchanged.
-    reach = np.sqrt(x2) + np.sqrt(w2.max())
+    reach = (np.sqrt(x2)[:, None] + np.sqrt(w2.max(axis=1))).ravel()
     margin = 8 * (n + 4) * (_UNIT_ROUNDOFF * reach * reach + _SMALLEST_SUBNORMAL)
     unsafe = ~(reach <= _SAFE_REACH)
+    vectors = stack.reshape(-1, n)
     scaled = -2.0 * vectors.T
-    indices = np.empty((values.shape[0], k), dtype=np.intp)
-    squared = np.empty((values.shape[0], k))
-    step = max(1, _BLOCK_PAIRS // vectors.shape[0])
-    for lo in range(0, values.shape[0], step):
-        x = values[lo:lo + step]
+    w2 = w2.ravel()
+    indices = np.empty((len(reach), k), dtype=np.intp)
+    squared = np.empty((len(reach), k))
+    # pairs per block: _BLOCK_PAIRS, and no more than the N M of one grid's
+    # whole search, so that a stack of small grids needs no larger block of s
+    step = max(1, min(_BLOCK_PAIRS, len(values) * m) // len(vectors)) * grids
+    for lo in range(0, len(reach), step):
+        x = values[lo // grids:(lo + step) // grids]
         s = x @ scaled
         s += w2
+        s = s.reshape(-1, m)
         # hide the k smallest; what is left has the (k + 1)-th smallest (inf if M == k)
-        at = np.arange(x.shape[0])
-        near = np.empty((x.shape[0], k), dtype=np.intp)
+        at = np.arange(len(s))
+        base = m * (at % grids)  # where the pair's grid starts in `vectors`
+        near = np.empty((len(s), k), dtype=np.intp)
         for i in range(k):
             near[:, i] = j = s.argmin(axis=1)
             kth = s[at, j]
@@ -309,9 +323,9 @@ def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
         bound = kth + margin[lo:lo + step]
         clear = (s.min(axis=1) > bound) & ~unsafe[lo:lo + step]
 
-        # every row's k hidden units, ordered by rank(squared), then index:
-        # the answer for clear rows; the rows below overwrite the others
-        diff = x[:, None, :] - vectors[near]
+        # every pair's k hidden units, ordered by rank(squared), then index:
+        # the answer for clear pairs; the pairs below overwrite the others
+        diff = x[at // grids, None] - vectors[near + base[:, None]]
         d = np.einsum("ijk,ijk->ij", diff, diff)
         if k > 1:
             order = np.lexsort((near, d if rank is None else rank(d)), axis=1)
@@ -319,22 +333,22 @@ def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
         indices[lo:lo + step] = near
         squared[lo:lo + step] = d
 
-        # the other rows: the hidden k and every unit with s <= t + margin (all if unsafe)
+        # the other pairs: the hidden k and every unit with s <= t + margin (all if unsafe)
         rows = np.flatnonzero(~clear)
         if not rows.size:
             continue
         keep = s[rows] <= bound[rows, None]
         keep[np.arange(rows.size)[:, None], near[rows]] = True
         keep[unsafe[lo + rows]] = True
-        r, c = np.divmod(np.flatnonzero(keep), vectors.shape[0])
-        diff = x[rows[r]] - vectors[c]
+        r, c = np.divmod(np.flatnonzero(keep), m)
+        diff = x[rows[r] // grids] - vectors[base[rows[r]] + c]
         d = np.einsum("ij,ij->i", diff, diff)
         order = np.lexsort((c, d if rank is None else rank(d), r))
         counts = np.bincount(r, minlength=rows.size)
         first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
         indices[lo + rows] = c[first]
         squared[lo + rows] = d[first]
-    return indices, squared
+    return indices.reshape(-1, grids, k), squared.reshape(-1, grids, k)
 
 
 def _level_sums(rest: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -370,27 +384,66 @@ def _level_sums(rest: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def _group_sums(values: np.ndarray, bmus: np.ndarray, m: int):
-    """Per-unit sums of attracted rows and their counts.
+    """Per-unit sums of attracted rows and their counts, for C grids at once.
 
-    Each sum is math.fsum's, the exact sum rounded once, so the result does
-    not depend on row order and batch_epoch stays bit-identical under data
-    permutations. The exact sum comes in a few levels (_level_sums), and
-    math.fsum over them rounds it. A sum whose levels are all zero (a column
-    that _level_sums leaves out, or a sum that is exactly zero, whose sign
-    fsum takes from the rows) is math.fsum over the rows themselves.
+    bmus is N x C, each column one grid's unit indices; the sums are
+    C x M x n and the counts C x M. Each sum is math.fsum's, the exact sum
+    rounded once, so it depends neither on row order (batch_epoch stays
+    bit-identical under data permutations) nor on the grids summed with it.
+    The exact sum comes in a few levels (_level_sums), and math.fsum over
+    them rounds it. A sum whose levels are all zero (a column that
+    _level_sums leaves out, or a sum that is exactly zero, whose sign fsum
+    takes from the rows) is math.fsum over the rows themselves.
     """
-    counts = np.bincount(bmus, minlength=m)
+    grids = bmus.shape[1]
+    keys = bmus + m * np.arange(grids)  # unit u of grid c is group c M + u
+    counts = np.bincount(keys.ravel(), minlength=grids * m)
     live = np.flatnonzero(counts)
     stops = np.cumsum(counts)[live]
     starts = stops - counts[live]
-    order = np.argsort(bmus, kind="stable")
+    order = np.argsort(keys, axis=None, kind="stable") // grids  # rows, by group
     levels = _level_sums(np.take(values, order, axis=0), starts)
-    sums = np.zeros((m, values.shape[1]))
+    sums = np.zeros((grids * m, values.shape[1]))
     cells = zip(*levels.reshape(len(levels), -1).tolist())
     sums[live] = np.reshape(list(map(math.fsum, cells)), levels.shape[1:])
     for g, j in zip(*np.nonzero(~levels.any(axis=0))):
         sums[live[g], j] = math.fsum(values[order[starts[g]:stops[g]], j].tolist())
-    return sums, counts
+    return sums.reshape(grids, m, -1), counts.reshape(grids, m)
+
+
+def _planar_squared_distances(rows: int, cols: int) -> np.ndarray:
+    """(x_i - x_j)^2 + (y_i - y_j)^2 over the lattice: the same sums as an
+    einsum over the M x M x 2 differences, without that tensor."""
+    dx, dy = (np.subtract.outer(p, p) for p in hex_positions(rows, cols).T)
+    return dx * dx + dy * dy
+
+
+def _update(values: np.ndarray, stack: np.ndarray, bmus: np.ndarray, sigmas, planar):
+    """batch_epoch for each grid of a C x M x n stack, grid c at width sigmas[c].
+
+    bmus is N x C and planar the lattice's _planar_squared_distances. As many
+    grids as fit C N n <= _BLOCK_PAIRS share one _group_sums call.
+    """
+    out = stack.copy()
+    per = max(1, _BLOCK_PAIRS // values.size)
+    for c, sigma in enumerate(sigmas):
+        if c % per == 0:
+            sums, counts = _group_sums(values, bmus[:, c:c + per], len(planar))
+        live = np.flatnonzero(counts[c % per])
+        # exp(d / -(2 sigma^2)), which rounds as exp(-d / (2 sigma^2)) does; if
+        # 2 sigma^2 underflows, the zero-width kernel: 1 at distance 0 only
+        width = -2.0 * sigma * sigma
+        with np.errstate(under="ignore"):
+            weights = np.exp(planar[live] / width) if width else planar[live] == 0.0
+        # each column, counts last, sums the live units' terms in unit order,
+        # from +0.0, as a running sum over the units would: deterministic
+        terms = np.column_stack([
+            np.add.reduce(weights * column[:, None], axis=0, initial=0.0)
+            for column in np.column_stack([sums[c % per, live], counts[c % per, live]]).T
+        ])
+        alive = terms[:, -1] > 0.0
+        out[c, alive] = terms[alive, :-1] / terms[alive, -1:]
+    return out
 
 
 def batch_epoch(
@@ -423,43 +476,17 @@ def batch_epoch(
                 f"bmus must lie in [0, {m}), got {bmus.min()} to {bmus.max()}"
             )
         bmus = bmus.astype(np.intp, copy=False)
-    sums, counts = _group_sums(data.values, bmus, m)
-
-    # (x_i - x_j)^2 + (y_i - y_j)^2, the same sums as an einsum over the
-    # M x M x 2 differences, without that tensor; then, in place,
-    # exp(d / -(2 sigma^2)), which rounds as exp(-d / (2 sigma^2)) does
-    pos = grid.unit_positions
-    kernel = np.subtract.outer(pos[:, 0], pos[:, 0])
-    kernel *= kernel
-    dy = np.subtract.outer(pos[:, 1], pos[:, 1])
-    dy *= dy
-    kernel += dy
-    del dy
-    width = -2.0 * sigma * sigma
-    if width == 0.0:  # 2 sigma^2 underflows: the zero-width kernel, 1 at distance 0 only
-        kernel = (kernel == 0.0).astype(float)
-    else:
-        kernel /= width
-        with np.errstate(under="ignore"):
-            np.exp(kernel, out=kernel)
-
-    # each column sums the live units' terms in unit order, from +0.0, as a
-    # running sum over the units would: the reduction is deterministic
-    live = np.flatnonzero(counts)
-    weights = kernel[live]
-    num = np.empty_like(grid.reference_vectors)
-    for j in range(num.shape[1]):
-        num[:, j] = np.add.reduce(weights * sums[live, j][:, None], axis=0, initial=0.0)
-    den = np.add.reduce(weights * counts[live][:, None], axis=0, initial=0.0)
-
-    vectors = grid.reference_vectors.copy()
-    alive = den > 0.0
-    vectors[alive] = num[alive] / den[alive, None]
-    return SomGrid(grid.rows, grid.cols, vectors)
+    planar = _planar_squared_distances(grid.rows, grid.cols)
+    vectors = _update(data.values, grid.reference_vectors[None], bmus[:, None], (sigma,), planar)
+    return SomGrid(grid.rows, grid.cols, vectors[0])
 
 
 def sigma_schedule(sigma_initial: float, sigma_final: float, epochs: int) -> tuple[float, ...]:
-    """Linear decay from sigma_initial to sigma_final over `epochs` epochs."""
+    """Linear decay from sigma_initial to sigma_final over `epochs` epochs.
+
+    A sigma_final so far below sigma_initial that the last step rounds to
+    zero (sigma_initial + (sigma_final - sigma_initial) cancels) is rejected.
+    """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     for name, sigma in (("sigma_initial", sigma_initial), ("sigma_final", sigma_final)):
@@ -468,7 +495,13 @@ def sigma_schedule(sigma_initial: float, sigma_final: float, epochs: int) -> tup
     if epochs == 1:
         return (float(sigma_initial),)
     steps = np.arange(epochs) / (epochs - 1)
-    return tuple((sigma_initial + (sigma_final - sigma_initial) * steps).tolist())
+    sigmas = tuple((sigma_initial + (sigma_final - sigma_initial) * steps).tolist())
+    if not (sigmas[-1] > 0):
+        raise ValueError(
+            f"sigma_final {sigma_final} is too small against sigma_initial "
+            f"{sigma_initial}: the linear schedule rounds its last sigma to {sigmas[-1]}"
+        )
+    return sigmas
 
 
 def train(data: DataMatrix, rows: int, cols: int, config: TrainConfig) -> TrainResult:
@@ -491,28 +524,32 @@ def _train_schedules(
 
     Every schedule's first sigma is sigma_initial exactly (si + (sf - si) * 0.0),
     so all maps share the initial grid, the first epoch and the searches on
-    both sides of it. That prefix is trained once, and each schedule goes on
-    from it; every result is the one a separate run of its schedule gives.
+    both sides of it: that prefix is trained once. The C maps then go on in
+    lockstep as one C x M x n stack; each later epoch is one _update of the
+    stack and one _nearest search over it, whose squared distances also give
+    every grid's quantization error. Every result is the one a separate run
+    of its schedule gives, bit for bit.
     """
     si = config.resolved_initial(rows, cols)
     schedules = [sigma_schedule(si, sf, config.epochs) for sf in finals]
-
-    def run(grid, bmus, sigmas):
-        errors = []
-        for sigma in sigmas:
-            grid = batch_epoch(grid, data, sigma, bmus)
-            # one search per grid: this grid's error and the next epoch's update
-            bmus = bmu_indices(data.values, grid)
-            errors.append(_mean_bmu_distance(data.values, grid, bmus))
-        return grid, bmus, errors
-
+    values = data.values
     grid = init_grid(rows, cols, data, config.seed)
-    grid, bmus, first = run(grid, bmu_indices(data.values, grid), schedules[0][:1])
-    results = []
-    for sigmas in schedules:
-        end, _, errors = run(grid, bmus, sigmas[1:])
-        results.append(TrainResult(end, sigmas, tuple(first + errors)))
-    return results
+    grid = batch_epoch(grid, data, si, bmu_indices(values, grid))
+    bmus = bmu_indices(values, grid)
+    errors = [[_mean_bmu_distance(values, grid, bmus)] * len(finals)]
+
+    stack = grid.reference_vectors[None].repeat(len(finals), axis=0)
+    bmus = bmus[:, None].repeat(len(finals), axis=1)
+    planar = _planar_squared_distances(rows, cols)
+    for sigmas in list(zip(*schedules))[1:]:
+        stack = _update(values, stack, bmus, sigmas, planar)
+        bmus, squared = (a[:, :, 0] for a in _nearest(values, stack, 1))
+        # one contiguous row per grid, so each mean sums as quantization_error's does
+        errors.append(np.mean(np.sqrt(squared.T.copy()), axis=1).tolist())
+    return [
+        TrainResult(SomGrid(rows, cols, vectors), sigmas, grid_errors)
+        for vectors, sigmas, grid_errors in zip(stack, schedules, zip(*errors))
+    ]
 
 
 def _mean_bmu_distance(values: np.ndarray, grid: SomGrid, bmus: np.ndarray) -> float:
@@ -605,10 +642,10 @@ def goodness(grid: SomGrid, data: DataMatrix) -> float:
     if grid.m < 2:
         raise ValueError("goodness needs at least 2 units (second-best undefined)")
     # ranked by distance, not its square, with ties to the lower index
-    nearest, squared = _nearest(data.values, grid.reference_vectors, 2, np.sqrt)
-    best, second = nearest.T
+    nearest, squared = _nearest(data.values, grid.reference_vectors[None], 2, np.sqrt)
+    best, second = nearest[:, 0].T
     path_dist = _reference_path_lengths(grid, best, second)
-    return float(np.mean(np.sqrt(squared[:, 1]) + path_dist))
+    return float(np.mean(np.sqrt(squared[:, 0, 1]) + path_dist))
 
 
 def select_sigma(
@@ -618,8 +655,8 @@ def select_sigma(
 
     Returns the sigma minimizing goodness together with its trained result
     and its goodness; goodness ties within 1e-12 resolve to the smaller
-    sigma. The candidates share their first epoch (_train_schedules), and
-    each result is bit for bit train's for that final sigma.
+    sigma. The candidates share their first epoch and then train in lockstep
+    (_train_schedules); each result is bit for bit train's for that final sigma.
     """
     finals = config.final_sigmas(rows, cols)
     results = [

@@ -318,6 +318,21 @@ def test_failed_write_keeps_old_artifact_and_drops_stage_manifest(pipeline_dir, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["colors.json"]
 
 
+def test_a_sigma_final_whose_schedule_rounds_to_zero_is_named_before_any_stage_runs(
+        tmp_path, iris_path, capsys, monkeypatch):
+    # 1.5 + (1e-200 - 1.5) * 1.0 cancels to 0.0 in the last epoch
+    for stage in cli.STAGES:
+        monkeypatch.setattr(cli, f"stage_{stage.name}", None)
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--input", str(iris_path), "--grid", "3x3", "--epochs", "2",
+                     "--sigma-final", "1e-200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("error in stage train: sigma_final 1e-200 is too small against sigma_initial 1.5"
+            in err)
+    assert "sigma must be positive" not in err
+    assert not out.exists()
+
+
 def test_one_unit_grid_fails_before_any_stage_runs(tmp_path, iris_path, capsys, monkeypatch):
     for stage in cli.STAGES:  # a stage that ran would fail with another message
         monkeypatch.setattr(cli, f"stage_{stage.name}", None)

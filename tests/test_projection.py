@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,6 +549,28 @@ def _distance_cases():
 @pytest.mark.parametrize("vectors", _distance_cases().values(), ids=_distance_cases().keys())
 def test_pairwise_distances_match_the_einsum_bitwise(vectors):
     assert same_bits(pairwise_distances(vectors), einsum_distances(vectors))
+
+
+def test_pairwise_distances_of_three_or_more_columns_are_the_full_einsum_bitwise():
+    # shapes from one block to hundreds, and a block of one row (m * n > 2**17)
+    rng = np.random.default_rng(21)
+    shapes = [(int(rng.integers(3, 301)), int(rng.integers(3, 41))) for _ in range(40)]
+    for m, n in shapes + [(3, 3), (15 * 15, 16), (100, 1400)]:
+        vectors = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-5, 6)
+        assert same_bits(pairwise_distances(vectors), einsum_distances(vectors))
+
+
+# The M x M x n tensor is 28.8 MB here; a block of differences is 1 MB and
+# d 0.7 MB, and the traced peak about 2.6 MiB.
+def test_pairwise_distances_memory_is_bounded_by_a_block():
+    vectors = np.random.default_rng(22).standard_normal((300, 40))
+    tracemalloc.start()
+    try:
+        pairwise_distances(vectors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_pairwise_distances_keep_their_bits_at_any_blas_thread_count():

@@ -1,6 +1,9 @@
 import hashlib
+import html
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from somchroma.render import (
 from somchroma.som import SomGrid
 
 from conftest import assert_svg_coordinates_within_viewbox as assert_within_viewbox
-from conftest import svg_view_box
+from conftest import subprocess_env, svg_view_box
 
 
 def make_grid(rows, cols, dim=3, seed=0):
@@ -141,6 +144,19 @@ def test_render_som_marker_stacking_deterministic_and_contained():
     svg = render_som_svg(grid, gray_colors(4), overlay, RenderSpec())
     assert svg.count('stroke="#000000"') == 10
     assert_within_viewbox(svg)
+
+
+def test_labels_are_escaped_as_html_escape_does_without_importing_html():
+    # html imports html.entities, about 0.5 MB of tables no artifact needs
+    texts = ["a<b", "&amp;", "x > y & z", "\"quoted\" 'single'", "plain", "<&>" * 3]
+    svg = render_som_svg(make_grid(1, 2), gray_colors(2), Overlay(labels={0: texts}), RenderSpec())
+    got = re.findall(r'font-family="sans-serif">(.*?)</text>', svg)
+    assert got == [html.escape(t, quote=False) for t in texts]
+    code = "import sys, somchroma.cli\nprint('html' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 def test_render_som_labels_above_units():

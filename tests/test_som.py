@@ -415,11 +415,17 @@ GROUP_SUM_CASES = {
 
 @pytest.mark.parametrize("case", list(GROUP_SUM_CASES))
 def test_group_sums_are_math_fsum_bitwise(case):
-    values, bmus, m = GROUP_SUM_CASES[case](np.random.default_rng(17))
-    sums, counts = som._group_sums(values, bmus, m)
-    expected, expected_counts = fsum_group_sums(values, bmus, m)
-    assert np.array_equal(counts, expected_counts)
-    assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
+    # alone, and stacked with two other assignments of the same rows: a grid's
+    # sums do not depend on the grids summed with it
+    rng = np.random.default_rng(17)
+    values, bmus, m = GROUP_SUM_CASES[case](rng)
+    stacked = np.column_stack([rng.permutation(bmus), bmus, np.sort(bmus)])
+    for assignments in (bmus[:, None], stacked):
+        sums, counts = som._group_sums(values, assignments, m)
+        for grid_bmus, grid_sums, grid_counts in zip(assignments.T, sums, counts):
+            expected, expected_counts = fsum_group_sums(values, grid_bmus, m)
+            assert np.array_equal(grid_counts, expected_counts)
+            assert np.array_equal(grid_sums.view(np.uint64), expected.view(np.uint64))
 
 
 def test_group_sums_keep_math_fsum_overflow():
@@ -428,7 +434,7 @@ def test_group_sums_keep_math_fsum_overflow():
     with pytest.raises(OverflowError):
         fsum_group_sums(values, bmus, 2)
     with pytest.raises(OverflowError):
-        som._group_sums(values, bmus, 2)
+        som._group_sums(values, bmus[:, None], 2)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.3, 1.0, 4.0])
@@ -488,6 +494,15 @@ def test_sigma_schedule_rejects_a_sigma_that_is_not_positive(name, sigma):
     for epochs in (1, 3):
         with pytest.raises(ValueError, match=f"{name} must be positive, got {sigma}"):
             sigma_schedule(sigmas["sigma_initial"], sigmas["sigma_final"], epochs)
+
+
+def test_sigma_schedule_names_both_sigmas_when_it_rounds_to_zero():
+    # 1.5 + (1e-200 - 1.5) * 1.0 cancels to 0.0
+    with pytest.raises(ValueError, match="sigma_final 1e-200 is too small against "
+                                         "sigma_initial 1.5"):
+        sigma_schedule(1.5, 1e-200, 2)
+    assert sigma_schedule(1.5, 1e-200, 1) == (1.5,)
+    assert sigma_schedule(1.5, 1e-15, 2)[-1] > 0
 
 
 def test_train_one_epoch_equals_init_plus_epoch(iris_std):
@@ -784,6 +799,48 @@ def test_nearest_unit_search_random_adversarial_cases():
         assert_search_matches_brute_force(*_on_grid(values, vectors, m))
 
 
+def stacked_variants(vectors, rng):
+    """Five grids of one shape: the case's own, one past the safe reach (every
+    pair unsafe), a unit permutation, a copy with a tripled unit, and a rescaling."""
+    tripled = vectors.copy()
+    tripled[-1] = tripled[len(tripled) // 2] = tripled[0]
+    far = vectors * (4e153 / np.abs(vectors).max())  # some |w| >= 4e153 > 2**510
+    return np.stack([vectors, far, vectors[rng.permutation(len(vectors))], tripled, 0.5 * vectors])
+
+
+def brute_force_nearest(squared, k, rank):
+    """Oracle: a stable argsort of the full N x M distances, first by rank, then index."""
+    order = np.argsort(squared if rank is None else rank(squared), axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(squared, order, axis=1)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 7], ids=["default-blocks", "7-row-blocks"])
+@pytest.mark.parametrize("case", list(NEAREST_CASES))
+def test_stacked_search_is_the_per_grid_search_bitwise(case, rows_per_block, monkeypatch):
+    rng = np.random.default_rng(2024)
+    values, grid = NEAREST_CASES[case](rng)
+    variants = stacked_variants(grid.reference_vectors, rng)
+    if rows_per_block is not None:
+        monkeypatch.setattr(som, "_BLOCK_PAIRS", rows_per_block * grid.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = [np.vstack([brute_force_squared(part, vectors)  # in parts of <= 511 rows
+                           for part in np.array_split(values, max(1, len(values) // 256))])
+                for vectors in variants]
+        for k, rank in ((1, None), (2, np.sqrt)):
+            alone = [som._nearest(values, vectors[None], k, rank) for vectors in variants]
+            for (indices, squared), every in zip(alone, full):
+                oracle = brute_force_nearest(every, k, rank)
+                assert np.array_equal(indices[:, 0], oracle[0])
+                assert np.array_equal(squared[:, 0].view(np.uint64), oracle[1].view(np.uint64))
+            for grids in (1, 2, 5):
+                indices, squared = som._nearest(values, variants[:grids], k, rank)
+                assert indices.shape == squared.shape == (len(values), grids, k)
+                for c in range(grids):
+                    assert np.array_equal(indices[:, c], alone[c][0][:, 0])
+                    assert np.array_equal(squared[:, c].view(np.uint64),
+                                          alone[c][1][:, 0].view(np.uint64))
+
+
 def _path_grid(vectors, cols):
     rows = len(vectors) // cols
     return SomGrid(rows, cols, vectors)
@@ -856,17 +913,56 @@ def test_bmu_search_memory_is_bounded_by_a_block():
 
 
 def test_goodness_search_memory_is_bounded_by_a_block():
-    peak = peak_traced_bytes(lambda v, g: som._nearest(v, g.reference_vectors, 2, np.sqrt))
+    peak = peak_traced_bytes(lambda v, g: som._nearest(v, g.reference_vectors[None], 2, np.sqrt))
     assert peak < 6 * 2**20
 
 
+# Five grids' outputs, margins and stack add under 1.5 MB to one block.
+def test_stacked_search_memory_is_bounded_by_a_block():
+    peak = peak_traced_bytes(
+        lambda v, g: som._nearest(v, np.repeat(g.reference_vectors[None], 5, axis=0), 1))
+    assert peak < 6 * 2**20
+
+
+def spy_on_training(monkeypatch):
+    """Records each search (k and the stack searched) and each update (its sigmas)."""
+    calls = {"bmu_indices": 0, "batch_epoch": 0, "searches": [], "updates": []}
+    names = ("bmu_indices", "batch_epoch", "_nearest", "_update")
+    real = {name: getattr(som, name) for name in names}
+
+    def counted(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+        return wrapper
+
+    def search(values, stack, k, rank=None):
+        calls["searches"].append((k, stack.copy()))
+        return real["_nearest"](values, stack, k, rank)
+
+    def update(values, stack, bmus, sigmas, planar):
+        calls["updates"].append(tuple(sigmas))
+        return real["_update"](values, stack, bmus, sigmas, planar)
+
+    spies = (counted("bmu_indices"), counted("batch_epoch"), search, update)
+    for name, spy in zip(names, spies):
+        monkeypatch.setattr(som, name, spy)
+    return calls
+
+
 def test_train_searches_each_grid_once(iris_std, monkeypatch):
-    calls = []
-    search = som.bmu_indices
-    monkeypatch.setattr(som, "bmu_indices", lambda v, g: calls.append(g) or search(v, g))
+    # the prefix searches the initial grid and the first epoch's through
+    # bmu_indices; each of the 3 later steps searches its new grid once
+    calls = spy_on_training(monkeypatch)
     result = train(iris_std, 3, 4, TrainConfig(epochs=4, seed=0))
-    assert len(calls) == 5
-    expected = [quantization_error(g, iris_std) for g in calls[1:]]
+    monkeypatch.undo()
+    assert (calls["bmu_indices"], calls["batch_epoch"]) == (2, 1)
+    assert len(calls["updates"]) == 4 and [k for k, _ in calls["searches"]] == [1] * 5
+    grids = [SomGrid(3, 4, stack[0]) for _, stack in calls["searches"]]
+    assert np.array_equal(grids[0].reference_vectors, init_grid(3, 4, iris_std).reference_vectors)
+    assert len({g.reference_vectors.tobytes() for g in grids}) == 5
+    assert np.array_equal(grids[-1].reference_vectors, result.grid.reference_vectors)
+    expected = [quantization_error(g, iris_std) for g in grids[1:]]
     assert list(result.quantization_errors) == expected
 
 
@@ -913,16 +1009,10 @@ def test_select_sigma_rejects_out_of_range_candidate(iris_std):
 
 
 def test_select_sigma_trains_only_a_set_sigma_final(iris_std, monkeypatch):
-    real_epoch = som.batch_epoch
-    sigmas = []
-
-    def counting_epoch(grid, data, sigma, bmus=None):
-        sigmas.append(sigma)
-        return real_epoch(grid, data, sigma, bmus)
-
-    monkeypatch.setattr(som, "batch_epoch", counting_epoch)
+    calls = spy_on_training(monkeypatch)
     sigma, result, g = select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, sigma_final=0.9))
-    assert sigmas == [1.5, 0.9]  # each default candidate would add its own last epoch
+    # the default candidates would make the last update (0.4, 0.7, 1.0, 1.5)
+    assert calls["updates"] == [(1.5,), (0.9,)]
     assert sigma == 0.9 and result.sigmas == (1.5, 0.9)
     assert g == goodness(result.grid, iris_std)
 
@@ -966,20 +1056,38 @@ def test_candidates_sharing_their_first_epoch_train_as_if_alone(iris_std, epochs
     assert_same_training(result, alone.grid, alone.sigmas, alone.quantization_errors)
 
 
+def test_lockstep_matches_training_alone_through_kmeans_steps_and_dead_units(iris_std):
+    # 2 sigma^2 stays normal for the 1e-150 schedule; the other one's last
+    # sigma is about 1e-163, whose 2 sigma^2 underflows (the k-means step)
+    cfg = TrainConfig(epochs=3, sigma_initial=1e-150, sigma_candidates=(1e-163, 1e-150))
+    finals = cfg.final_sigmas(4, 5)
+    results = som._train_schedules(iris_std, 4, 5, cfg, finals)
+    widths = [-2.0 * r.sigmas[-1] * r.sigmas[-1] for r in results]
+    assert widths[0] == 0.0 and widths[1] != 0.0
+    dead = 0
+    for sf, result in zip(finals, results):
+        assert_same_training(result, *separate_train(iris_std, 4, 5, 1e-150, sf, 3))
+        units = np.bincount(bmu_indices(iris_std.values, result.grid), minlength=20)
+        dead += np.count_nonzero(units == 0)
+    assert dead > 0
+
+
 @pytest.mark.parametrize("candidates", [(0.9,), (0.5, 0.8, 1.1)])
 @pytest.mark.parametrize("epochs", [1, 2, 3, 5])
 def test_select_sigma_searches_and_updates_the_shared_first_epoch_once(
     iris_std, monkeypatch, candidates, epochs
 ):
-    calls = {"bmu_indices": 0, "batch_epoch": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(som, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(som, name, counted)
+    # the prefix once, then epochs - 1 steps that each update and search all
+    # candidates' grids as one stack; goodness searches each result once
+    calls = spy_on_training(monkeypatch)
     select_sigma(iris_std, 3, 4, TrainConfig(epochs=epochs, sigma_candidates=candidates))
-    later = len(candidates) * (epochs - 1)
-    assert calls == {"bmu_indices": 2 + later, "batch_epoch": 1 + later}
+    assert (calls["bmu_indices"], calls["batch_epoch"]) == (2, 1)
+    assert calls["updates"] == [(2.0,)] + [
+        tuple(sigma_schedule(2.0, sf, epochs)[step] for sf in candidates)
+        for step in range(1, epochs)]
+    searched = [(k, len(stack)) for k, stack in calls["searches"]]
+    c = len(candidates)
+    assert searched == [(1, 1)] * 2 + [(1, c)] * (epochs - 1) + [(2, 1)] * c
 
 
 @pytest.mark.parametrize("config, rows, cols, expected", [
