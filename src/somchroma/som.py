@@ -237,14 +237,7 @@ def bmu(x: np.ndarray, grid: SomGrid) -> int:
 
 def bmu_indices(values: np.ndarray, grid: SomGrid) -> np.ndarray:
     """Vectorized BMU lookup for every row of `values` (lowest-index ties)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError(f"data must be 2-dimensional, got shape {values.shape}")
-    if values.shape[1] != grid.dim:
-        raise ValueError(
-            f"data of dimension {values.shape[1]} against grid of dim {grid.dim}"
-        )
-    return _nearest(values, grid.reference_vectors[None], 1)[0][:, 0, 0]
+    return _nearest(np.asarray(values, dtype=float), grid.reference_vectors, 1)[0][:, 0]
 
 
 # Rows x units searched at once: the GEMM block and its copies, not N x M x n,
@@ -257,25 +250,25 @@ _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 _SAFE_REACH = 2.0**510
 
 
-def _nearest(values: np.ndarray, stack: np.ndarray, k: int, rank=None):
-    """Each row's k nearest units in each of C grids, nearest first, with exact squared distances.
+def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
+    """Each row's k nearest units, nearest first, with exact squared distances.
 
-    `stack` holds the grids' vectors, C x M x n. Returns (indices, squared),
-    both N x C x k. Units are ordered by rank(squared) (by default the
-    squared distance itself) and then by index, so ties go to the lowest
-    index. squared[i, c, j] is the same float as einsum("ijk,ijk->ij") over
-    all N x M differences to grid c would give, so the choice is too; only
-    the candidates are computed that way. Each (row, grid) pair, pair
-    p = i C + c, is searched as a row against that grid alone is, with that
-    grid's margin; one GEMM per block of rows covers all C M units.
+    Returns (indices, squared), both N x k. Units are ordered by
+    rank(squared) (by default the squared distance itself) and then by index,
+    so ties go to the lowest index. squared[i, j] is the same float as
+    einsum("ijk,ijk->ij") over all N x M differences would give, so the
+    choice is too; only the candidates are computed that way.
     """
-    grids, m, n = stack.shape
+    if values.ndim != 2:
+        raise ValueError(f"data must be 2-dimensional, got shape {values.shape}")
+    n = vectors.shape[1]
+    if values.shape[1] != n:
+        raise ValueError(f"data of dimension {values.shape[1]} against grid of dim {n}")
     x2 = np.einsum("ij,ij->i", values, values)
-    w2 = np.einsum("ijk,ijk->ij", stack, stack)
+    w2 = np.einsum("ij,ij->i", vectors, vectors)
     # Rounding bound. With u = 2**-53, g_m = m u / (1 - m u), D = |x - w|^2
-    # and S = |x| + max|w| (`reach`, max over the pair's grid), any summation
-    # order, FMA use or thread split gives (Higham, Accuracy and Stability of
-    # Numerical Algorithms, ch. 3):
+    # and S = |x| + max|w| (`reach`), any summation order, FMA use or thread
+    # split gives (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
     #   the GEMM form  s = |w|^2 - 2 x.w:       |s + |x|^2 - D| <= g_{n+2} S^2,
     #   the einsum     d = sum_k (x_k - w_k)^2:  |d - D| <= g_{n+2} D <= g_{n+2} S^2.
     # Scaling w by -2 is exact, the GEMM's error is at most g_n 2|x||w|, that
@@ -296,26 +289,20 @@ def _nearest(values: np.ndarray, stack: np.ndarray, k: int, rank=None):
     # 2**1021; a row past that, or with a NaN, keeps every unit.
     # A safe row whose (k + 1)-th smallest s exceeds t + margin has only the
     # k units with s <= t as candidates, so they are its top k unchanged.
-    reach = (np.sqrt(x2)[:, None] + np.sqrt(w2.max(axis=1))).ravel()
+    reach = np.sqrt(x2) + np.sqrt(w2.max())
     margin = 8 * (n + 4) * (_UNIT_ROUNDOFF * reach * reach + _SMALLEST_SUBNORMAL)
     unsafe = ~(reach <= _SAFE_REACH)
-    vectors = stack.reshape(-1, n)
     scaled = -2.0 * vectors.T
-    w2 = w2.ravel()
-    indices = np.empty((len(reach), k), dtype=np.intp)
-    squared = np.empty((len(reach), k))
-    # pairs per block: _BLOCK_PAIRS, and no more than the N M of one grid's
-    # whole search, so that a stack of small grids needs no larger block of s
-    step = max(1, min(_BLOCK_PAIRS, len(values) * m) // len(vectors)) * grids
-    for lo in range(0, len(reach), step):
-        x = values[lo // grids:(lo + step) // grids]
+    indices = np.empty((len(values), k), dtype=np.intp)
+    squared = np.empty((len(values), k))
+    step = max(1, _BLOCK_PAIRS // len(vectors))
+    for lo in range(0, len(values), step):
+        x = values[lo:lo + step]
         s = x @ scaled
         s += w2
-        s = s.reshape(-1, m)
         # hide the k smallest; what is left has the (k + 1)-th smallest (inf if M == k)
-        at = np.arange(len(s))
-        base = m * (at % grids)  # where the pair's grid starts in `vectors`
-        near = np.empty((len(s), k), dtype=np.intp)
+        at = np.arange(len(x))
+        near = np.empty((len(x), k), dtype=np.intp)
         for i in range(k):
             near[:, i] = j = s.argmin(axis=1)
             kth = s[at, j]
@@ -323,9 +310,9 @@ def _nearest(values: np.ndarray, stack: np.ndarray, k: int, rank=None):
         bound = kth + margin[lo:lo + step]
         clear = (s.min(axis=1) > bound) & ~unsafe[lo:lo + step]
 
-        # every pair's k hidden units, ordered by rank(squared), then index:
-        # the answer for clear pairs; the pairs below overwrite the others
-        diff = x[at // grids, None] - vectors[near + base[:, None]]
+        # every row's k hidden units, ordered by rank(squared), then index:
+        # the answer for clear rows; the rows below overwrite the others
+        diff = x[:, None] - vectors[near]
         d = np.einsum("ijk,ijk->ij", diff, diff)
         if k > 1:
             order = np.lexsort((near, d if rank is None else rank(d)), axis=1)
@@ -333,22 +320,22 @@ def _nearest(values: np.ndarray, stack: np.ndarray, k: int, rank=None):
         indices[lo:lo + step] = near
         squared[lo:lo + step] = d
 
-        # the other pairs: the hidden k and every unit with s <= t + margin (all if unsafe)
+        # the other rows: the hidden k and every unit with s <= t + margin (all if unsafe)
         rows = np.flatnonzero(~clear)
         if not rows.size:
             continue
         keep = s[rows] <= bound[rows, None]
         keep[np.arange(rows.size)[:, None], near[rows]] = True
         keep[unsafe[lo + rows]] = True
-        r, c = np.divmod(np.flatnonzero(keep), m)
-        diff = x[rows[r] // grids] - vectors[base[rows[r]] + c]
+        r, c = np.divmod(np.flatnonzero(keep), len(vectors))
+        diff = x[rows[r]] - vectors[c]
         d = np.einsum("ij,ij->i", diff, diff)
         order = np.lexsort((c, d if rank is None else rank(d), r))
         counts = np.bincount(r, minlength=rows.size)
         first = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
         indices[lo + rows] = c[first]
         squared[lo + rows] = d[first]
-    return indices.reshape(-1, grids, k), squared.reshape(-1, grids, k)
+    return indices, squared
 
 
 def _level_sums(rest: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -446,9 +433,7 @@ def _update(values: np.ndarray, stack: np.ndarray, bmus: np.ndarray, sigmas, pla
     return out
 
 
-def batch_epoch(
-    grid: SomGrid, data: DataMatrix, sigma: float, bmus: np.ndarray | None = None
-) -> SomGrid:
+def batch_epoch(grid: SomGrid, data: DataMatrix, sigma: float) -> SomGrid:
     """One batch update: every unit moves to the kernel-weighted data average.
 
     New vector m_i = sum_j h(c(j), i) x_j / sum_j h(c(j), i) with
@@ -456,26 +441,11 @@ def batch_epoch(
     A sigma so small that 2 sigma^2 underflows to zero gives that kernel's
     limit, 1 at distance 0 and 0 elsewhere: each unit takes the mean of its
     own rows, a k-means step. Units receiving zero total weight (all kernel
-    values underflow) keep their previous vector. `bmus`, when given, must be
-    bmu_indices(data.values, grid); passing it saves that search.
+    values underflow) keep their previous vector.
     """
     if not (sigma > 0):  # negated, so that NaN fails too
         raise ValueError(f"sigma must be positive, got {sigma}")
-    m = grid.m
-    if bmus is None:
-        bmus = bmu_indices(data.values, grid)
-    else:
-        bmus = np.asarray(bmus)
-        if bmus.shape != (data.n_rows,) or not np.issubdtype(bmus.dtype, np.integer):
-            raise ValueError(
-                f"bmus must be {data.n_rows} integer unit indices, "
-                f"got shape {bmus.shape} and dtype {bmus.dtype}"
-            )
-        if bmus.min() < 0 or bmus.max() >= m:
-            raise ValueError(
-                f"bmus must lie in [0, {m}), got {bmus.min()} to {bmus.max()}"
-            )
-        bmus = bmus.astype(np.intp, copy=False)
+    bmus = bmu_indices(data.values, grid)
     planar = _planar_squared_distances(grid.rows, grid.cols)
     vectors = _update(data.values, grid.reference_vectors[None], bmus[:, None], (sigma,), planar)
     return SomGrid(grid.rows, grid.cols, vectors[0])
@@ -526,40 +496,39 @@ def _train_schedules(
     so all maps share the initial grid, the first epoch and the searches on
     both sides of it: that prefix is trained once. The C maps then go on in
     lockstep as one C x M x n stack; each later epoch is one _update of the
-    stack and one _nearest search over it, whose squared distances also give
-    every grid's quantization error. Every result is the one a separate run
-    of its schedule gives, bit for bit.
+    stack, then one _nearest search per grid, whose squared distances also
+    give that grid's quantization error. Every result is the one a separate
+    run of its schedule gives, bit for bit.
     """
     si = config.resolved_initial(rows, cols)
     schedules = [sigma_schedule(si, sf, config.epochs) for sf in finals]
     values = data.values
-    grid = init_grid(rows, cols, data, config.seed)
-    grid = batch_epoch(grid, data, si, bmu_indices(values, grid))
-    bmus = bmu_indices(values, grid)
-    errors = [[_mean_bmu_distance(values, grid, bmus)] * len(finals)]
+    grid = batch_epoch(init_grid(rows, cols, data, config.seed), data, si)
+    bmus, squared = _nearest(values, grid.reference_vectors, 1)
+    errors = [[_quantization_error(squared)] * len(finals)]
 
     stack = grid.reference_vectors[None].repeat(len(finals), axis=0)
-    bmus = bmus[:, None].repeat(len(finals), axis=1)
+    bmus = bmus.repeat(len(finals), axis=1)
     planar = _planar_squared_distances(rows, cols)
     for sigmas in list(zip(*schedules))[1:]:
         stack = _update(values, stack, bmus, sigmas, planar)
-        bmus, squared = (a[:, :, 0] for a in _nearest(values, stack, 1))
-        # one contiguous row per grid, so each mean sums as quantization_error's does
-        errors.append(np.mean(np.sqrt(squared.T.copy()), axis=1).tolist())
+        found = [_nearest(values, vectors, 1) for vectors in stack]
+        bmus = np.hstack([indices for indices, _ in found])
+        errors.append([_quantization_error(squared) for _, squared in found])
     return [
         TrainResult(SomGrid(rows, cols, vectors), sigmas, grid_errors)
         for vectors, sigmas, grid_errors in zip(stack, schedules, zip(*errors))
     ]
 
 
-def _mean_bmu_distance(values: np.ndarray, grid: SomGrid, bmus: np.ndarray) -> float:
-    diff = values - grid.reference_vectors[bmus]
-    return float(np.mean(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
+def _quantization_error(squared: np.ndarray) -> float:
+    """Mean distance to the best unit, from a k = 1 search's N x 1 squared distances."""
+    return float(np.mean(np.sqrt(squared[:, 0])))
 
 
 def quantization_error(grid: SomGrid, data: DataMatrix) -> float:
     """Mean distance from each data point to its best-matching unit."""
-    return _mean_bmu_distance(data.values, grid, bmu_indices(data.values, grid))
+    return _quantization_error(_nearest(data.values, grid.reference_vectors, 1)[1])
 
 
 def _neighbor_table(grid: SomGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -642,10 +611,10 @@ def goodness(grid: SomGrid, data: DataMatrix) -> float:
     if grid.m < 2:
         raise ValueError("goodness needs at least 2 units (second-best undefined)")
     # ranked by distance, not its square, with ties to the lower index
-    nearest, squared = _nearest(data.values, grid.reference_vectors[None], 2, np.sqrt)
-    best, second = nearest[:, 0].T
+    nearest, squared = _nearest(data.values, grid.reference_vectors, 2, np.sqrt)
+    best, second = nearest.T
     path_dist = _reference_path_lengths(grid, best, second)
-    return float(np.mean(np.sqrt(squared[:, 0, 1]) + path_dist))
+    return float(np.mean(np.sqrt(squared[:, 1]) + path_dist))
 
 
 def select_sigma(

@@ -175,6 +175,16 @@ def test_bmu_indices_rejects_data_that_is_not_2d(shape):
         bmu_indices(np.ones(shape), grid)
 
 
+@pytest.mark.parametrize("search", [
+    lambda grid, data: bmu_indices(data.values, grid), quantization_error, goodness,
+], ids=["bmu_indices", "quantization_error", "goodness"])
+def test_searches_name_a_data_dimension_that_is_not_the_grids(search):
+    grid = two_unit_grid([[0.0, 0.0], [1.0, 1.0]])
+    data = DataMatrix(np.ones((4, 3)), ["a", "b", "c"])
+    with pytest.raises(ValueError, match="data of dimension 3 against grid of dim 2"):
+        search(grid, data)
+
+
 def test_bmu_identifies_own_unit():
     rng = np.random.default_rng(2)
     grid = SomGrid(2, 3, rng.standard_normal((6, 4)))
@@ -201,8 +211,8 @@ def test_batch_epoch_sigma_whose_square_underflows_is_kmeans_step(iris_std, sigm
     assert -2.0 * sigma * sigma == 0.0
     grid = init_grid(3, 3, iris_std, seed=0)
     bmus = bmu_indices(iris_std.values, grid)
-    new = batch_epoch(grid, iris_std, sigma, bmus).reference_vectors
-    expected = batch_epoch(grid, iris_std, 1e-150, bmus).reference_vectors
+    new = batch_epoch(grid, iris_std, sigma).reference_vectors
+    expected = batch_epoch(grid, iris_std, 1e-150).reference_vectors
     assert np.array_equal(new.view(np.uint64), expected.view(np.uint64))
     for u in np.unique(bmus):
         rows = iris_std.values[bmus == u]
@@ -274,24 +284,6 @@ def test_batch_epoch_permutation_invariant_bitwise():
     shuffled = DataMatrix(values[perm], list("abcd"))
     out_perm = batch_epoch(grid, shuffled, sigma=0.8)
     assert np.array_equal(out.reference_vectors, out_perm.reference_vectors)
-
-
-@pytest.mark.parametrize(
-    "bmus, message",
-    [
-        (np.zeros(9, dtype=int), r"bmus must be 10 integer unit indices, got shape \(9,\)"),
-        (np.full(10, 7), r"bmus must lie in \[0, 6\), got 7 to 7"),
-        (np.full(10, -1), r"bmus must lie in \[0, 6\), got -1 to -1"),
-        (np.zeros(10), r"bmus must be 10 integer unit indices, .* dtype float64"),
-    ],
-    ids=["nine-for-ten-rows", "unit-7-of-6", "unit-minus-1", "floats"],
-)
-def test_batch_epoch_rejects_bad_bmus(bmus, message):
-    rng = np.random.default_rng(4)
-    data = DataMatrix(rng.standard_normal((10, 2)), ["x", "y"])
-    grid = SomGrid(2, 3, rng.standard_normal((6, 2)))
-    with pytest.raises(ValueError, match=message):
-        batch_epoch(grid, data, 1.0, bmus)
 
 
 # ----------------------------------------------------------------------------
@@ -446,7 +438,7 @@ def test_batch_epoch_is_the_per_unit_loop_bitwise(sigma):
     data = DataMatrix(values, list("abcd"))
     grid = SomGrid(4, 5, rng.standard_normal((20, 4)) * 2.0)
     bmus = bmu_indices(values, grid)
-    out = batch_epoch(grid, data, sigma, bmus).reference_vectors
+    out = batch_epoch(grid, data, sigma).reference_vectors
     expected = loop_batch_epoch(grid, data, sigma, bmus)
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
     if sigma == 1e-3:  # the kernel underflows: units no row chose get weight 0
@@ -458,12 +450,14 @@ def test_batch_epoch_sums_from_plus_zero_like_the_loop():
     # one live unit at the end of a 1 x 40 line: the kernel reaches the far
     # units as subnormals, so their products with tiny negative sums round
     # to -0.0 while their weights stay positive; a running sum from +0.0
-    # turns that into +0.0
+    # turns that into +0.0. The rows are all assigned to unit 0 by hand, so
+    # the update is called without batch_epoch's search.
     values = np.column_stack([np.full(5, -1e-20), np.arange(5.0)])
     data = DataMatrix(values, ["x", "y"])
     grid = SomGrid(1, 40, np.column_stack([np.zeros(40), np.arange(40.0) + 100.0]))
-    bmus = np.zeros(5, dtype=int)
-    out = batch_epoch(grid, data, 1.0, bmus).reference_vectors
+    bmus = np.zeros(5, dtype=np.intp)
+    planar = som._planar_squared_distances(1, 40)
+    out = som._update(values, grid.reference_vectors[None], bmus[:, None], (1.0,), planar)[0]
     expected = loop_batch_epoch(grid, data, 1.0, bmus)
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
     assert (out[38:, 0] == 0.0).all() and not np.signbit(out[38:, 0]).any()
@@ -602,6 +596,11 @@ def brute_force_squared(values, vectors):
     """Oracle: the full N x M x n difference tensor the blocked search replaces."""
     diff = values[:, None, :] - vectors[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def brute_force_quantization_error(values, vectors):
+    """Oracle: the mean distance to the best unit, from the full distance matrix."""
+    return float(np.mean(np.sqrt(brute_force_squared(values, vectors).min(axis=1))))
 
 
 def scipy_reference_paths(grid, sources=None):
@@ -800,8 +799,9 @@ def test_nearest_unit_search_random_adversarial_cases():
 
 
 def stacked_variants(vectors, rng):
-    """Five grids of one shape: the case's own, one past the safe reach (every
-    pair unsafe), a unit permutation, a copy with a tripled unit, and a rescaling."""
+    """Five grids of one shape, as a lockstep stack might hold: the case's own,
+    one past the safe reach (every row unsafe), a unit permutation, a copy
+    with a tripled unit, and a rescaling."""
     tripled = vectors.copy()
     tripled[-1] = tripled[len(tripled) // 2] = tripled[0]
     far = vectors * (4e153 / np.abs(vectors).max())  # some |w| >= 4e153 > 2**510
@@ -817,28 +817,24 @@ def brute_force_nearest(squared, k, rank):
 @pytest.mark.parametrize("rows_per_block", [None, 7], ids=["default-blocks", "7-row-blocks"])
 @pytest.mark.parametrize("case", list(NEAREST_CASES))
 def test_stacked_search_is_the_per_grid_search_bitwise(case, rows_per_block, monkeypatch):
+    # the lockstep searches each grid of its stack alone: every one of the five
+    # variants, at training's k = 1 and goodness's k = 2 ranked by distance,
+    # is the stable argsort of its full distance matrix
     rng = np.random.default_rng(2024)
     values, grid = NEAREST_CASES[case](rng)
     variants = stacked_variants(grid.reference_vectors, rng)
     if rows_per_block is not None:
         monkeypatch.setattr(som, "_BLOCK_PAIRS", rows_per_block * grid.m)
     with np.errstate(over="ignore", invalid="ignore"):
-        full = [np.vstack([brute_force_squared(part, vectors)  # in parts of <= 511 rows
-                           for part in np.array_split(values, max(1, len(values) // 256))])
-                for vectors in variants]
-        for k, rank in ((1, None), (2, np.sqrt)):
-            alone = [som._nearest(values, vectors[None], k, rank) for vectors in variants]
-            for (indices, squared), every in zip(alone, full):
-                oracle = brute_force_nearest(every, k, rank)
-                assert np.array_equal(indices[:, 0], oracle[0])
-                assert np.array_equal(squared[:, 0].view(np.uint64), oracle[1].view(np.uint64))
-            for grids in (1, 2, 5):
-                indices, squared = som._nearest(values, variants[:grids], k, rank)
-                assert indices.shape == squared.shape == (len(values), grids, k)
-                for c in range(grids):
-                    assert np.array_equal(indices[:, c], alone[c][0][:, 0])
-                    assert np.array_equal(squared[:, c].view(np.uint64),
-                                          alone[c][1][:, 0].view(np.uint64))
+        for vectors in variants:
+            every = np.vstack([brute_force_squared(part, vectors)  # in parts of <= 511 rows
+                               for part in np.array_split(values, max(1, len(values) // 256))])
+            for k, rank in ((1, None), (2, np.sqrt)):
+                indices, squared = som._nearest(values, vectors, k, rank)
+                expected_indices, expected_squared = brute_force_nearest(every, k, rank)
+                assert indices.shape == squared.shape == (len(values), k)
+                assert np.array_equal(indices, expected_indices)
+                assert np.array_equal(squared.view(np.uint64), expected_squared.view(np.uint64))
 
 
 def _path_grid(vectors, cols):
@@ -913,19 +909,12 @@ def test_bmu_search_memory_is_bounded_by_a_block():
 
 
 def test_goodness_search_memory_is_bounded_by_a_block():
-    peak = peak_traced_bytes(lambda v, g: som._nearest(v, g.reference_vectors[None], 2, np.sqrt))
-    assert peak < 6 * 2**20
-
-
-# Five grids' outputs, margins and stack add under 1.5 MB to one block.
-def test_stacked_search_memory_is_bounded_by_a_block():
-    peak = peak_traced_bytes(
-        lambda v, g: som._nearest(v, np.repeat(g.reference_vectors[None], 5, axis=0), 1))
+    peak = peak_traced_bytes(lambda v, g: som._nearest(v, g.reference_vectors, 2, np.sqrt))
     assert peak < 6 * 2**20
 
 
 def spy_on_training(monkeypatch):
-    """Records each search (k and the stack searched) and each update (its sigmas)."""
+    """Records each search (k and the vectors searched) and each update (its sigmas)."""
     calls = {"bmu_indices": 0, "batch_epoch": 0, "searches": [], "updates": []}
     names = ("bmu_indices", "batch_epoch", "_nearest", "_update")
     real = {name: getattr(som, name) for name in names}
@@ -936,9 +925,9 @@ def spy_on_training(monkeypatch):
             return real[name](*args, **kwargs)
         return wrapper
 
-    def search(values, stack, k, rank=None):
-        calls["searches"].append((k, stack.copy()))
-        return real["_nearest"](values, stack, k, rank)
+    def search(values, vectors, k, rank=None):
+        calls["searches"].append((k, vectors.copy()))
+        return real["_nearest"](values, vectors, k, rank)
 
     def update(values, stack, bmus, sigmas, planar):
         calls["updates"].append(tuple(sigmas))
@@ -951,18 +940,18 @@ def spy_on_training(monkeypatch):
 
 
 def test_train_searches_each_grid_once(iris_std, monkeypatch):
-    # the prefix searches the initial grid and the first epoch's through
-    # bmu_indices; each of the 3 later steps searches its new grid once
+    # batch_epoch searches the initial grid through bmu_indices and the prefix
+    # the first epoch's; each of the 3 later steps searches its new grid once
     calls = spy_on_training(monkeypatch)
     result = train(iris_std, 3, 4, TrainConfig(epochs=4, seed=0))
     monkeypatch.undo()
-    assert (calls["bmu_indices"], calls["batch_epoch"]) == (2, 1)
+    assert (calls["bmu_indices"], calls["batch_epoch"]) == (1, 1)
     assert len(calls["updates"]) == 4 and [k for k, _ in calls["searches"]] == [1] * 5
-    grids = [SomGrid(3, 4, stack[0]) for _, stack in calls["searches"]]
-    assert np.array_equal(grids[0].reference_vectors, init_grid(3, 4, iris_std).reference_vectors)
-    assert len({g.reference_vectors.tobytes() for g in grids}) == 5
-    assert np.array_equal(grids[-1].reference_vectors, result.grid.reference_vectors)
-    expected = [quantization_error(g, iris_std) for g in grids[1:]]
+    grids = [vectors for _, vectors in calls["searches"]]
+    assert np.array_equal(grids[0], init_grid(3, 4, iris_std).reference_vectors)
+    assert len({g.tobytes() for g in grids}) == 5
+    assert np.array_equal(grids[-1], result.grid.reference_vectors)
+    expected = [brute_force_quantization_error(iris_std.values, g) for g in grids[1:]]
     assert list(result.quantization_errors) == expected
 
 
@@ -1026,15 +1015,14 @@ def test_select_sigma_rejects_one_unit(iris_std, monkeypatch):
 
 
 def separate_train(data, rows, cols, sigma_initial, sigma_final, epochs):
-    """Oracle: one schedule trained on its own, searching each grid once."""
+    """Oracle: one schedule trained on its own, epoch by epoch, each error
+    from the full distance matrix."""
     sigmas = sigma_schedule(sigma_initial, sigma_final, epochs)
     grid = init_grid(rows, cols, data, seed=0)
-    bmus = bmu_indices(data.values, grid)
     errors = []
     for sigma in sigmas:
-        grid = batch_epoch(grid, data, sigma, bmus)
-        bmus = bmu_indices(data.values, grid)
-        errors.append(quantization_error(grid, data))
+        grid = batch_epoch(grid, data, sigma)
+        errors.append(brute_force_quantization_error(data.values, grid.reference_vectors))
     return grid, sigmas, tuple(errors)
 
 
@@ -1077,17 +1065,18 @@ def test_lockstep_matches_training_alone_through_kmeans_steps_and_dead_units(iri
 def test_select_sigma_searches_and_updates_the_shared_first_epoch_once(
     iris_std, monkeypatch, candidates, epochs
 ):
-    # the prefix once, then epochs - 1 steps that each update and search all
-    # candidates' grids as one stack; goodness searches each result once
+    # the prefix once (2 searches, 1 update), then epochs - 1 steps that each
+    # update all candidates' grids as one stack and search each grid alone;
+    # goodness searches each result once
     calls = spy_on_training(monkeypatch)
     select_sigma(iris_std, 3, 4, TrainConfig(epochs=epochs, sigma_candidates=candidates))
-    assert (calls["bmu_indices"], calls["batch_epoch"]) == (2, 1)
+    assert (calls["bmu_indices"], calls["batch_epoch"]) == (1, 1)
     assert calls["updates"] == [(2.0,)] + [
         tuple(sigma_schedule(2.0, sf, epochs)[step] for sf in candidates)
         for step in range(1, epochs)]
-    searched = [(k, len(stack)) for k, stack in calls["searches"]]
     c = len(candidates)
-    assert searched == [(1, 1)] * 2 + [(1, c)] * (epochs - 1) + [(2, 1)] * c
+    assert [k for k, _ in calls["searches"]] == [1] * (2 + c * (epochs - 1)) + [2] * c
+    assert all(vectors.shape == (12, 4) for _, vectors in calls["searches"])
 
 
 @pytest.mark.parametrize("config, rows, cols, expected", [
