@@ -180,6 +180,9 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+_WRITE_SLICE = 2**16  # characters of an artifact encoded at a time
+
+
 def canonical_json(payload: dict) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) plus a newline, joined in batches.
 
@@ -196,17 +199,25 @@ def canonical_json(payload: dict) -> str:
 
 
 def _write_artifact(path: Path, content: str) -> str:
-    """Write atomically: readers see the old file or the new one, never a part."""
+    """Write atomically: readers see the old file or the new one, never a part.
+
+    The text is encoded a slice of _WRITE_SLICE characters at a time, so no
+    encoded copy of the whole artifact is held; returns its sha256.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = content.encode("utf-8")
+    digest = hashlib.sha256()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for start in range(0, len(content), _WRITE_SLICE):
+                data = content[start:start + _WRITE_SLICE].encode("utf-8")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
 def _load_payload(path) -> dict:

@@ -9,6 +9,7 @@ weight downstream.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -81,6 +82,19 @@ class StandardizationParams:
             raise ValueError("stddevs must be nonnegative")
 
 
+def _records(reader):
+    """Yield (line, row) for each non-blank record, line being where it starts.
+
+    reader.line_num counts every physical line read so far, blank lines and
+    newlines inside quoted cells included.
+    """
+    line = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield line, row
+        line = reader.line_num + 1
+
+
 def load_csv(
     path,
     has_header: bool = True,
@@ -88,6 +102,11 @@ def load_csv(
     class_column: str | None = None,
 ) -> DataMatrix:
     """Parse a delimited numeric file into a DataMatrix.
+
+    Records are read one at a time and their numeric cells go straight into
+    the value matrix, so memory holds the matrix and the labels, not the
+    file's text. Errors name the line a record starts on and come in file
+    order; bad UTF-8 is found one read buffer (8 KiB) at a time.
 
     Parameters
     ----------
@@ -111,64 +130,63 @@ def load_csv(
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]  # ignore blank lines
-    if not rows:
-        raise ValueError(f"{path}: file contains no data")
+        records = _records(csv.reader(fh))
+        first = next(records, None)
+        if first is None:
+            raise ValueError(f"{path}: file contains no data")
+        if has_header:
+            header = [name.strip() for name in first[1]]
+            first = next(records, None)
+        else:
+            header = [f"col{i + 1}" for i in range(len(first[1]))]
+        if first is None:
+            raise ValueError(f"{path}: no data rows after header")
 
-    if has_header:
-        header = [name.strip() for name in rows[0]]
-        data_rows = rows[1:]
-        first_line = 2
-    else:
-        header = [f"col{i + 1}" for i in range(len(rows[0]))]
-        data_rows = rows
-        first_line = 1
-    if not data_rows:
-        raise ValueError(f"{path}: no data rows after header")
+        width = len(header)
+        special = {}
+        for role, name in (("label", label_column), ("class", class_column)):
+            if name is None:
+                continue
+            if name not in header:
+                raise ValueError(f"{path}: no column named {name!r} (columns: {header})")
+            special[role] = header.index(name)
+        if len(set(special.values())) != len(special):
+            raise ValueError("label_column and class_column must differ")
 
-    width = len(header)
-    special = {}
-    for role, name in (("label", label_column), ("class", class_column)):
-        if name is None:
-            continue
-        if name not in header:
-            raise ValueError(f"{path}: no column named {name!r} (columns: {header})")
-        special[role] = header.index(name)
-    if len(set(special.values())) != len(special):
-        raise ValueError("label_column and class_column must differ")
+        value_idx = [i for i in range(width) if i not in special.values()]
+        if not value_idx:
+            raise ValueError(f"{path}: no numeric columns remain")
 
-    value_idx = [i for i in range(width) if i not in special.values()]
-    if not value_idx:
-        raise ValueError(f"{path}: no numeric columns remain")
+        row_labels = [] if "label" in special else None
+        class_labels = [] if "class" in special else None
 
-    values = np.empty((len(data_rows), len(value_idx)), dtype=float)
-    row_labels = [] if "label" in special else None
-    class_labels = [] if "class" in special else None
-    for r, row in enumerate(data_rows):
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: line {first_line + r} has {len(row)} fields, expected {width}"
-            )
-        for k, i in enumerate(value_idx):
-            cell = row[i].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {first_line + r}, column {header[i]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: line {first_line + r}, column {header[i]!r}: "
-                    f"non-finite value {cell!r}"
-                )
-            values[r, k] = value
-        if row_labels is not None:
-            row_labels.append(row[special["label"]].strip())
-        if class_labels is not None:
-            class_labels.append(row[special["class"]].strip())
+        def cells():
+            for line, row in itertools.chain([first], records):
+                if len(row) != width:
+                    raise ValueError(
+                        f"{path}: line {line} has {len(row)} fields, expected {width}"
+                    )
+                for i in value_idx:
+                    cell = row[i].strip()
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {line}, column {header[i]!r}: "
+                            f"cannot parse {cell!r} as a number"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ValueError(
+                            f"{path}: line {line}, column {header[i]!r}: "
+                            f"non-finite value {cell!r}"
+                        )
+                    yield value
+                if row_labels is not None:
+                    row_labels.append(row[special["label"]].strip())
+                if class_labels is not None:
+                    class_labels.append(row[special["class"]].strip())
+
+        values = np.fromiter(cells(), dtype=float).reshape(-1, len(value_idx))
 
     return DataMatrix(
         values=values,

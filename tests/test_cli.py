@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,35 @@ def test_canonical_json_is_json_dumps_with_a_newline():
     text = cli.canonical_json(payload)
     assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert cli.canonical_json({}) == "{}\n"
+
+
+def test_write_artifact_writes_the_utf8_encoding_and_its_sha256(tmp_path):
+    # multi-byte characters on both sides of the first slice boundary, counted
+    # in characters and in encoded bytes
+    slice_ = cli._WRITE_SLICE
+    text = ("a" * (slice_ - 2) + "\u00e9\u20ac\U0001f600" + "b" * (slice_ // 3)
+            + "\u20ac" * slice_ + "\U0001f600\n")
+    path = tmp_path / "sub" / "a.txt"
+    digest = cli._write_artifact(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert cli._write_artifact(tmp_path / "empty.txt", "") == hashlib.sha256(b"").hexdigest()
+    assert (tmp_path / "empty.txt").read_bytes() == b""
+    assert sorted(p.name for p in path.parent.iterdir()) == ["a.txt"]
+
+
+def test_write_artifact_memory_is_bounded_by_a_slice(tmp_path):
+    # The whole-text encoding alone was the text's size, 5.3 MB here; a slice peaks near 0.2 MB.
+    text = cli.canonical_json({"values": np.random.default_rng(2).standard_normal(
+        (12000, 16)).tolist()})
+    assert len(text) > 4_000_000
+    tracemalloc.start()
+    try:
+        cli._write_artifact(tmp_path / "big.json", text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) // 8
 
 
 def test_rerun_from_manifest_reproduces_checksums(tmp_path, iris_path):
