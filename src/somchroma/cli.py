@@ -27,7 +27,7 @@ import numpy as np
 from . import colorspace, projection, render, som
 from .colorspace import ColorPlane
 from .dataset import DataMatrix, load_csv, standardize
-from .envelope import SCHEMA_VERSION, check_envelope, envelope, field, finite_matrix
+from .envelope import SCHEMA_VERSION, check_envelope, envelope, finite_matrix, string_list
 
 __all__ = ["PipelineConfig", "cmd_pipeline", "main"]
 
@@ -186,11 +186,16 @@ _WRITE_SLICE = 2**16  # characters of an artifact encoded at a time
 def canonical_json(payload: dict) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) plus a newline, joined in batches.
 
+    Payloads hold numpy arrays; this is the one place they become JSON lists,
+    through ndarray.tolist. Any other object JSON has no form for, such as
+    np.int64 or a set, still raises TypeError.
+
     With an indent the encoder yields one small string per number. Joining
     them a batch at a time keeps one batch of them alive, not all of them:
     on a 5000x16 standardized.json that is about 3.5 MB less peak memory.
     """
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=np.ndarray.tolist)
+    chunks = encoder.iterencode(payload)
     parts = []
     while batch := list(itertools.islice(chunks, 256)):
         parts.append("".join(batch))
@@ -253,23 +258,23 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
     std, params = standardize(data)
     return {
         **envelope("standardized_data"),
-        "column_names": list(std.column_names),
+        "column_names": std.column_names,
         "row_labels": std.row_labels,
         "class_labels": std.class_labels,
-        "means": params.means.tolist(),
-        "stddevs": params.stddevs.tolist(),
-        "values": std.values.tolist(),
+        "means": params.means,
+        "stddevs": params.stddevs,
+        "values": std.values,
     }
 
 
 def _data_from_payload(payload: dict) -> DataMatrix:
     check_envelope(payload, "standardized_data")
-    names = list(field(payload, "standardized_data", "column_names"))
+    names = string_list(payload, "standardized_data", "column_names")
     return DataMatrix(
         values=finite_matrix(payload, "standardized_data", "values", len(names)),
         column_names=names,
-        row_labels=payload.get("row_labels"),
-        class_labels=payload.get("class_labels"),
+        row_labels=string_list(payload, "standardized_data", "row_labels", optional=True),
+        class_labels=string_list(payload, "standardized_data", "class_labels", optional=True),
     )
 
 
@@ -279,7 +284,7 @@ def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
     print(f"selected sigma_final={sigma_final}", file=sys.stderr)
     metadata = {
         "epochs": cfg.epochs,
-        "sigma_schedule": list(result.sigmas),
+        "sigma_schedule": result.sigmas,
         "seed": cfg.seed,
         "goodness": g,
         "quantization_error": result.quantization_errors[-1],
@@ -305,8 +310,8 @@ def stage_color(embedding_payload: dict, cfg: PipelineConfig) -> dict:
         **envelope("unit_colors"),
         "plane": colorspace.plane_to_dict(plane),
         "swap_axes": bool(cfg.swap_axes),
-        "unit_coords": coords.tolist(),
-        "rgb": colors.tolist(),
+        "unit_coords": coords,
+        "rgb": colors,
         "hex": colorspace.hex_colors(colors),
     }
 

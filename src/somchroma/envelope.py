@@ -2,7 +2,10 @@
 
 Writers start each payload from ``envelope(kind)``; the one decoder of each
 artifact kind calls ``check_envelope`` before it reads any other field, and
-reads its fields with ``field`` and its array fields with ``finite_matrix``.
+reads its fields with ``field``, its array fields with ``finite_matrix`` and
+its label fields with ``string_list``. An array field holds a numpy array when
+the payload comes straight from its writer, and a list when it was read back
+from JSON; the readers take either.
 """
 
 import numpy as np
@@ -48,3 +51,16 @@ def finite_matrix(payload: dict, kind: str, key: str, width: int) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{name} must be finite; row {bad[0]} is {values[bad[0]].tolist()}")
     return values
+
+
+def string_list(payload: dict, kind: str, key: str, optional: bool = False) -> list[str] | None:
+    """``payload[key]`` as a list of strings; an ``optional`` field may also be null or missing.
+
+    Errors name the field as ``<kind>.<key>``.
+    """
+    if optional and payload.get(key) is None:
+        return None
+    value = field(payload, kind, key)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{kind}.{key} must be a list of strings")
+    return value

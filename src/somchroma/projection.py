@@ -468,7 +468,7 @@ def normalize_components(y: np.ndarray) -> np.ndarray:
 
 
 def embedding_to_dict(result: ProjectionResult, config: ProjectionConfig) -> dict:
-    """JSON-ready embedding payload with a config echo."""
+    """Embedding payload with a config echo, its points kept as an array."""
     return {
         **envelope("embedding"),
         "method": result.method,
@@ -479,7 +479,7 @@ def embedding_to_dict(result: ProjectionResult, config: ProjectionConfig) -> dic
             "tolerance": config.tolerance,
             "seed": config.seed,
         },
-        "points": result.points.tolist(),
+        "points": result.points,
         "final_stress": result.stress,
         "iterations": result.iterations,
     }

@@ -640,13 +640,13 @@ def select_sigma(
 
 
 def grid_to_dict(grid: SomGrid, training_metadata: dict) -> dict:
-    """JSON-ready grid payload (positions are implied by rows/cols)."""
+    """Grid payload, reference vectors as an array (positions are implied by rows/cols)."""
     return {
         **envelope("som_grid"),
         "rows": grid.rows,
         "cols": grid.cols,
         "dim": grid.dim,
-        "reference_vectors": grid.reference_vectors.tolist(),
+        "reference_vectors": grid.reference_vectors,
         "training_metadata": training_metadata,
     }
 

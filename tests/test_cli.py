@@ -89,6 +89,15 @@ def test_canonical_json_is_json_dumps_with_a_newline():
     text = cli.canonical_json(payload)
     assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     assert cli.canonical_json({}) == "{}\n"
+    # a payload may hold arrays: each is written as json.dumps writes its list form
+    coords = rng.standard_normal((40, 2))
+    for value in (coords, coords[:, 0], coords[:, ::-1], np.empty((0, 4)),
+                  np.float64(0.1) * 3, (0.5, 1.25, 2.0)):
+        plain = np.array(value).tolist()  # Python floats in (nested) lists
+        assert cli.canonical_json({"x": value}) == json.dumps(
+            {"x": plain}, sort_keys=True, indent=2) + "\n"
+    with pytest.raises(TypeError):  # any other non-JSON object still fails
+        cli.canonical_json({"x": np.int64(1)})
 
 
 def test_write_artifact_writes_the_utf8_encoding_and_its_sha256(tmp_path):
@@ -244,15 +253,40 @@ def _set_first_value(key, value):
     ("render", "grid.json", _set("dim", 4.2), "som_grid.dim must be an integer, got 4.2"),
     ("project", "grid.json", _set("rows", 7),
      "som_grid.rows x som_grid.cols is 7x4 = 28 units, but som_grid.reference_vectors has 16"),
+    ("train", "standardized.json", _set("column_names", 4),
+     "standardized_data.column_names must be a list of strings"),
+    ("train", "standardized.json", _set("column_names", "abcd"),
+     "standardized_data.column_names must be a list of strings"),
+    ("train", "standardized.json", _set("column_names", None),
+     "standardized_data.column_names must be a list of strings"),
+    ("train", "standardized.json", _set("class_labels", 5),
+     "standardized_data.class_labels must be a list of strings"),
+    ("train", "standardized.json", _set("class_labels", [[1]] * 150),
+     "standardized_data.class_labels must be a list of strings"),
+    ("render", "standardized.json", _set("class_labels", [[1]] * 150),
+     "standardized_data.class_labels must be a list of strings"),
+    ("render", "standardized.json", _set("row_labels", list(range(150))),
+     "standardized_data.row_labels must be a list of strings"),
 ], ids=["train-no-values", "train-no-column-names", "train-nan", "train-ragged",
         "render-no-values", "project-no-vectors", "project-no-dim", "project-not-numbers",
         "project-rows-float", "project-rows-string", "project-rows-bool", "project-rows-null",
-        "project-cols-float", "render-dim-float", "project-size-mismatch"])
+        "project-cols-float", "render-dim-float", "project-size-mismatch",
+        "train-column-names-int", "train-column-names-string", "train-column-names-null",
+        "train-class-labels-int", "train-class-labels-nested", "render-class-labels-nested",
+        "render-row-labels-ints"])
 def test_missing_or_malformed_field_is_named(stage_inputs, tmp_path, capsys, command, name,
                                              edit, message):
     inputs = edited_inputs(stage_inputs, name, edit, tmp_path)
     assert cli.main(stage_argv(command, inputs, tmp_path)) == 1
     assert f"error in stage {command}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [_set("class_labels", None), _drop("class_labels"),
+                                  _drop("row_labels")], ids=["null", "missing", "missing-row"])
+def test_optional_label_fields_may_be_null_or_missing(stage_inputs, tmp_path, edit):
+    inputs = edited_inputs(stage_inputs, "standardized.json", edit, tmp_path)
+    assert cli.main(stage_argv("train", inputs, tmp_path)) == 0
+    assert cli.main(stage_argv("render", inputs, tmp_path)) == 0
 
 
 def test_failed_run_leaves_no_stale_manifest(tmp_path, iris_path, capsys):
@@ -603,6 +637,35 @@ def test_auto_sigma_train_stage_calls_goodness_once_per_candidate(iris_path, mon
     assert len(calls) == 3
     grid, metadata = som.grid_from_dict(payload)
     assert metadata["goodness"] == real_goodness(grid, cli._data_from_payload(std_payload))
+
+
+def write_blobs_csv(path, seed, n_rows, n_cols, n_clusters=8):
+    """Gaussian clusters with seeded centres and a `cluster` class column, six decimals a cell."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 3.0, (n_clusters, n_cols))
+    labels = rng.integers(0, n_clusters, n_rows)
+    values = centers[labels] + rng.normal(0.0, 1.0, (n_rows, n_cols))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join([f"x{j + 1}" for j in range(n_cols)] + ["cluster"]) + "\n")
+        for row, label in zip(values, labels):
+            fh.write(",".join(f"{v:.6f}" for v in row) + f",c{label}\n")
+    return path
+
+
+def test_ingest_payload_holds_the_values_as_an_array(tmp_path):
+    # A pipeline run keeps this payload through every later stage, so it holds the
+    # values as one array (0.61 MiB here), not as 80000 Python floats (3.03 MiB traced).
+    cfg = cli.PipelineConfig(input=str(write_blobs_csv(tmp_path / "blobs.csv", 0, 5000, 16)),
+                             class_column="cluster")
+    tracemalloc.start()
+    try:
+        payload = cli.stage_ingest(cfg)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(payload["values"], np.ndarray)
+    assert payload["values"].shape == (5000, 16)
+    assert retained < 1.5 * 2**20  # measured: 0.89 MiB, with the 5000 class labels
 
 
 def test_custom_plane_from_config(tmp_path, iris_path):
