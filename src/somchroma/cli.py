@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
 import sys
 import types
 import typing
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -183,39 +183,69 @@ def _fits(value, hint) -> bool:
 _WRITE_SLICE = 2**16  # characters of an artifact encoded at a time
 
 
-def canonical_json(payload: dict) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2) plus a newline, joined in batches.
+class _Rows(list):
+    """An array of two or more dimensions as the JSON encoder sees it: a list of its rows.
+
+    The list itself stays empty: its length is the array's, and iterating it
+    yields one row view at a time. So a row exists only while it is written,
+    where list(array) would hold a view of every row, about 120 bytes each,
+    for the whole write.
+    """
+
+    def __init__(self, array: np.ndarray):
+        super().__init__()
+        self.array = array
+
+    def __len__(self):
+        return len(self.array)
+
+    def __iter__(self):
+        return iter(self.array)
+
+
+def _json_default(value):
+    """An array in the form json writes: its rows, or for one dimension or none, tolist."""
+    if not isinstance(value, np.ndarray):  # np.int64, a set: no JSON form
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return _Rows(value) if value.ndim > 1 else value.tolist()
+
+
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """canonical_json(payload) in the encoder's chunks, the last one its newline.
 
     Payloads hold numpy arrays; this is the one place they become JSON lists,
-    through ndarray.tolist. Any other object JSON has no form for, such as
-    np.int64 or a set, still raises TypeError.
-
-    With an indent the encoder yields one small string per number. Joining
-    them a batch at a time keeps one batch of them alive, not all of them:
-    on a 5000x16 standardized.json that is about 3.5 MB less peak memory.
+    one row at a time. Any other object JSON has no form for, such as np.int64
+    or a set, still raises TypeError, from the chunk where it would be written.
     """
-    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=np.ndarray.tolist)
-    chunks = encoder.iterencode(payload)
-    parts = []
-    while batch := list(itertools.islice(chunks, 256)):
-        parts.append("".join(batch))
-    parts.append("\n")
-    return "".join(parts)
+    yield from json.JSONEncoder(sort_keys=True, indent=2, default=_json_default).iterencode(payload)
+    yield "\n"
 
 
-def _write_artifact(path: Path, content: str) -> str:
+def canonical_json(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) plus a newline, numpy arrays as lists.
+
+    The artifacts are not written through this string: _commit streams the
+    same chunks into the file, so neither the text nor the list form of a
+    payload's arrays is ever held whole. Here the chunks are joined a slice at
+    a time, so the string is held beside its slices, not beside every chunk.
+    """
+    return "".join(_slices(_json_chunks(payload)))
+
+
+def _write_chunks(path: Path, chunks: Iterable[str]) -> str:
     """Write atomically: readers see the old file or the new one, never a part.
 
-    The text is encoded a slice of _WRITE_SLICE characters at a time, so no
-    encoded copy of the whole artifact is held; returns its sha256.
+    The chunks are joined, encoded and hashed about _WRITE_SLICE characters at
+    a time, so neither the whole text nor its encoding is held; returns the
+    sha256. If the chunks raise, the temp file goes and the old file stays.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for start in range(0, len(content), _WRITE_SLICE):
-                data = content[start:start + _WRITE_SLICE].encode("utf-8")
+            for text in _slices(chunks):
+                data = text.encode("utf-8")
                 digest.update(data)
                 fh.write(data)
         os.replace(tmp, path)
@@ -223,6 +253,29 @@ def _write_artifact(path: Path, content: str) -> str:
         tmp.unlink(missing_ok=True)
         raise
     return digest.hexdigest()
+
+
+def _slices(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks joined into strings of at least _WRITE_SLICE characters, bar the last."""
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_SLICE:
+            yield "".join(batch)
+            batch, size = [], 0
+    yield "".join(batch)
+
+
+def _write_artifact(path: Path, content: str) -> str:
+    """Write a text artifact, such as an SVG, atomically; returns its sha256."""
+    return _write_chunks(path, (content[start:start + _WRITE_SLICE]
+                                for start in range(0, len(content), _WRITE_SLICE)))
+
+
+def _write_json(path: Path, payload: dict) -> str:
+    """Write canonical_json(payload) atomically, one encoder chunk at a time; returns its sha256."""
+    return _write_chunks(path, _json_chunks(payload))
 
 
 def _load_payload(path) -> dict:
@@ -479,19 +532,19 @@ def cmd_pipeline(cfg: PipelineConfig) -> dict:
 def _commit(manifest: Path, cfg: PipelineConfig, outputs: dict[Path, dict | str]) -> None:
     """Write each output, then a manifest with the config and every output's checksum.
 
-    An output is SVG text or a payload dict, written as canonical JSON. The old
+    An output is SVG text or a payload dict, streamed as canonical JSON. The old
     manifest goes first: once the first output is replaced it would vouch for a
     mix of old and new artifacts, so a failed write leaves none.
     """
     manifest.unlink(missing_ok=True)
     checksums = {}
     for path, output in outputs.items():
-        text = output if isinstance(output, str) else canonical_json(output)
-        checksums[path.name] = _write_artifact(path, text)
+        write = _write_artifact if isinstance(output, str) else _write_json
+        checksums[path.name] = write(path, output)
         print(f"wrote {path}", file=sys.stderr)
     payload = {**envelope("manifest"), "config": cfg.to_dict(), "seed": cfg.seed,
                "artifacts": checksums}
-    _write_artifact(manifest, canonical_json(payload))
+    _write_json(manifest, payload)
 
 
 # ----------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path, iris_path):
         assert (d / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
-def test_canonical_json_is_json_dumps_with_a_newline():
+def test_canonical_json_is_json_dumps_with_a_newline(tmp_path):
     rng = np.random.default_rng(5)
     payload = {"values": rng.standard_normal((700, 16)).tolist(), "b": {"z": [], "a": {}},
                "name": "caf\u00e9", "n": 3, "flag": True, "none": None}
@@ -91,13 +91,24 @@ def test_canonical_json_is_json_dumps_with_a_newline():
     assert cli.canonical_json({}) == "{}\n"
     # a payload may hold arrays: each is written as json.dumps writes its list form
     coords = rng.standard_normal((40, 2))
-    for value in (coords, coords[:, 0], coords[:, ::-1], np.empty((0, 4)),
-                  np.float64(0.1) * 3, (0.5, 1.25, 2.0)):
-        plain = np.array(value).tolist()  # Python floats in (nested) lists
-        assert cli.canonical_json({"x": value}) == json.dumps(
-            {"x": plain}, sort_keys=True, indent=2) + "\n"
-    with pytest.raises(TypeError):  # any other non-JSON object still fails
-        cli.canonical_json({"x": np.int64(1)})
+    values = [coords, coords[:, 0], coords[:, ::-1], np.empty((0, 4)), np.empty((3, 0)),
+              np.arange(8.0).reshape(2, 2, 2), np.array(2.5),
+              np.array([[math.nan, math.inf], [-math.inf, 0.0]]), [math.nan, -math.inf],
+              np.float64(0.1) * 3, [np.float64(1e-300), np.float64(-0.0)],
+              (0.5, 1.25, 2.0), np.array(["\u00e9t\u00e9", "\u20ac\U0001f600"]),
+              "\u65e5\u672c \U0001f600"]
+    for i, value in enumerate(values):
+        plain = np.array(value).tolist()  # Python floats and strings in (nested) lists
+        text = cli.canonical_json({"x": value})
+        assert text == json.dumps({"x": plain}, sort_keys=True, indent=2) + "\n", i
+        # the streamed write gives the same bytes and their checksum
+        path = tmp_path / f"{i}.json"
+        assert cli._write_json(path, {"x": value}) == hashlib.sha256(text.encode()).hexdigest()
+        assert path.read_bytes() == text.encode("utf-8"), i
+    for write in (cli.canonical_json, lambda p: cli._write_json(tmp_path / "int.json", p)):
+        with pytest.raises(TypeError):  # any other non-JSON object still fails
+            write({"x": np.int64(1)})
+    assert not (tmp_path / "int.json").exists()
 
 
 def test_write_artifact_writes_the_utf8_encoding_and_its_sha256(tmp_path):
@@ -127,6 +138,40 @@ def test_write_artifact_memory_is_bounded_by_a_slice(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < len(text) // 8
+
+
+def test_commit_streams_a_payload_in_memory_bounded_by_a_slice(tmp_path):
+    # Neither the JSON text (5.3 MB here) nor the matrix as lists and floats is held whole.
+    payload = {"values": np.random.default_rng(2).standard_normal((12000, 16))}
+    manifest, out = tmp_path / "manifest.json", tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        cli._commit(manifest, cli.PipelineConfig(), {out: payload})
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        text = cli.canonical_json(payload)
+        _, text_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 4_000_000
+    # the string itself is held beside its slices, not beside every encoder chunk
+    assert text_peak < 2.5 * len(text)
+    assert peak < len(text) // 8
+    assert out.read_bytes() == text.encode("utf-8")
+    checksums = json.loads(manifest.read_text())["artifacts"]
+    assert checksums == {"big.json": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def test_a_payload_failing_mid_stream_keeps_the_old_artifact(tmp_path):
+    # "z" sorts after "values", so the encoder fails once the matrix is in the temp file
+    out, manifest = tmp_path / "big.json", tmp_path / "manifest.json"
+    cli._commit(manifest, cli.PipelineConfig(), {out: {"values": [1.0]}})
+    before = out.read_bytes()
+    payload = {"values": np.random.default_rng(3).standard_normal((4000, 16)), "z": np.int64(1)}
+    with pytest.raises(TypeError):
+        cli._commit(manifest, cli.PipelineConfig(), {out: payload})
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
 
 
 def test_rerun_from_manifest_reproduces_checksums(tmp_path, iris_path):
