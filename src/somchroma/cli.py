@@ -119,9 +119,9 @@ class PipelineConfig:
             sigma_initial=self.sigma_initial,
             sigma_final=self.sigma_final,
             seed=self.seed,
-            sigma_candidates=None if self.sigma_candidates is None else tuple(self.sigma_candidates),
         )
-        tc.final_sigmas(self.rows, self.cols)  # train's checks, made before anything is written
+        # train's checks, made before anything is written
+        tc.final_sigmas(self.rows, self.cols, self.sigma_candidates)
         return tc
 
     @functools.cached_property
@@ -333,7 +333,8 @@ def _data_from_payload(payload: dict) -> DataMatrix:
 
 def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
     data = _data_from_payload(std_payload)
-    sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, cfg.train_config)
+    sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, cfg.train_config,
+                                           cfg.sigma_candidates)
     print(f"selected sigma_final={sigma_final}", file=sys.stderr)
     metadata = {
         "epochs": cfg.epochs,

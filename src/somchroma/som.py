@@ -11,6 +11,7 @@ best and second-best units.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,15 +92,13 @@ class TrainConfig:
 
     sigma_initial defaults to max(rows, cols)/2 and sigma_final to
     min(1, sigma_initial); both are resolved against the grid shape at
-    training time. sigma_candidates feeds automatic selection (final sigmas
-    tried with sigma_initial fixed); final_sigmas says which ones apply.
+    training time. final_sigmas says which final sigmas apply.
     """
 
     epochs: int = 40
     sigma_initial: float | None = None
     sigma_final: float | None = None
     seed: int = 0
-    sigma_candidates: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -120,11 +119,14 @@ class TrainConfig:
             raise ValueError(f"need 0 < sigma_final <= sigma_initial, got {sf} > {si}")
         return si, float(sf)
 
-    def final_sigmas(self, rows: int, cols: int) -> tuple[float, ...]:
+    def final_sigmas(
+        self, rows: int, cols: int, candidates: Iterable[float] | None
+    ) -> tuple[float, ...]:
         """The final sigmas a rows x cols map is trained with, ascending and checked.
 
-        One when sigma_final is set. Otherwise the candidates to choose from:
-        sigma_candidates, or the defaults up to sigma_initial. A grid needs at
+        One when sigma_final is set, whatever the candidates. Otherwise the
+        ones to choose from (final sigmas tried with sigma_initial fixed):
+        `candidates`, or the defaults up to sigma_initial. A grid needs at
         least 2 units, as goodness, the projection and the coloring do, and
         each final sigma's schedule must be one sigma_schedule accepts.
         """
@@ -135,12 +137,12 @@ class TrainConfig:
         si = self.resolved_initial(rows, cols)
         if self.sigma_final is not None:
             cands = (self.resolved_sigmas(rows, cols)[1],)
-        elif self.sigma_candidates is None:
+        elif candidates is None:
             cands = tuple(s for s in DEFAULT_SIGMA_CANDIDATES if s <= si)
             if not cands:
                 raise ValueError(f"no default sigma candidate fits sigma_initial={si}")
         else:
-            cands = tuple(float(s) for s in self.sigma_candidates)
+            cands = tuple(float(s) for s in candidates)
             if not cands:
                 raise ValueError("sigma_candidates must be non-empty")
             for s in cands:
@@ -241,8 +243,9 @@ def bmu_indices(values: np.ndarray, grid: SomGrid) -> np.ndarray:
 
 
 # Rows x units searched at once: the GEMM block and its copies, not N x M x n,
-# bound the memory of a nearest-unit search. 2**17 pairs make a 1 MB block of
-# s, which stays in a 2 MiB L2 cache through its elementwise passes.
+# bound the memory of a nearest-unit search; nothing else is blocked by it.
+# 2**17 pairs make a 1 MB block of s, which stays in a 2 MiB L2 cache through
+# its elementwise passes.
 _BLOCK_PAIRS = 1 << 17
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
@@ -338,22 +341,24 @@ def _nearest(values: np.ndarray, vectors: np.ndarray, k: int, rank=None):
     return indices, squared
 
 
-def _level_sums(rest: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-group sums of the rows of `rest`, split into levels whose sums are exact.
+def _split_levels(values: np.ndarray) -> np.ndarray:
+    """The rows of `values` split into levels whose sums are exact.
 
-    Group g is rest[starts[g]:starts[g + 1]]. Returns a K x G x n array
-    (K >= 1) whose K entries for group g and column j add up exactly to that
-    group's sum in column j. `rest` is used up: it ends all zero. Each pass
-    is the error-free extraction of Rump, Ogita and Oishi 2008 ("Accurate
-    floating-point summation, part I"). With |v| < 2**e over a column and
-    sigma = 2**(e + b), where 2**(b - 1) > N, p = (sigma + v) - sigma and
-    v - p are both exact, every p is a multiple of ulp(sigma) / 2 and
-    |p| <= 2**e. So any partial sum of up to N of them is such a multiple
-    below sigma / 2, which a double holds exactly: a level's group sums are
-    exact in any order. What is left, v - p, is at most ulp(sigma) / 2, so
-    each pass takes 52 - b bits off the top until nothing is left. A column
-    where sigma would not be finite is left out: its level sums are zero.
+    Returns a K x N x n array (K >= 1) whose K entries for row i and column j
+    add up exactly to values[i, j]. Each pass is the error-free extraction of
+    Rump, Ogita and Oishi 2008 ("Accurate floating-point summation, part I").
+    With |v| < 2**e over a column and sigma = 2**(e + b), where
+    2**(b - 1) > N, p = (sigma + v) - sigma and v - p are both exact, every p
+    is a multiple of ulp(sigma) / 2 and |p| <= 2**e. So any partial sum of up
+    to N of them is such a multiple below sigma / 2, which a double holds
+    exactly: the sum of a level over any group of rows is exact, in any
+    order. What is left, v - p, is at most ulp(sigma) / 2, so each pass takes
+    52 - b bits off the top until nothing is left. A column where sigma would
+    not be finite is left out: its levels are zero. sigma depends only on N
+    and the column's max |v|, so a row's levels do not depend on the order
+    or the grouping of the rows, and one split serves every grouping.
     """
+    rest = values.copy()
     b = len(rest).bit_length() + 1
     levels = []
     top = np.abs(rest).max(axis=0)
@@ -364,38 +369,37 @@ def _level_sums(rest: np.ndarray, starts: np.ndarray) -> np.ndarray:
         p = rest + sigma
         p -= sigma
         rest -= p
-        levels.append(np.add.reduceat(p, starts, axis=0))
+        levels.append(p)
         top = np.abs(rest).max(axis=0)
         if not top.any():
             return np.array(levels)
 
 
-def _group_sums(values: np.ndarray, bmus: np.ndarray, m: int):
-    """Per-unit sums of attracted rows and their counts, for C grids at once.
+def _group_sums(values: np.ndarray, levels: np.ndarray, bmus: np.ndarray, m: int):
+    """Per-unit sums of the rows each unit attracts, and their counts.
 
-    bmus is N x C, each column one grid's unit indices; the sums are
-    C x M x n and the counts C x M. Each sum is math.fsum's, the exact sum
-    rounded once, so it depends neither on row order (batch_epoch stays
-    bit-identical under data permutations) nor on the grids summed with it.
-    The exact sum comes in a few levels (_level_sums), and math.fsum over
-    them rounds it. A sum whose levels are all zero (a column that
-    _level_sums leaves out, or a sum that is exactly zero, whose sign fsum
-    takes from the rows) is math.fsum over the rows themselves.
+    levels is _split_levels(values) and bmus the unit of each row; the sums
+    are M x n and the counts M. Each sum is math.fsum's, the exact sum
+    rounded once, so it does not depend on row order (batch_epoch stays
+    bit-identical under data permutations). Each level's per-unit sums are
+    exact, and math.fsum over them rounds their total. A sum whose levels
+    are all zero (a column that _split_levels leaves out, or a sum that is
+    exactly zero, whose sign fsum takes from the rows) is math.fsum over the
+    rows themselves.
     """
-    grids = bmus.shape[1]
-    keys = bmus + m * np.arange(grids)  # unit u of grid c is group c M + u
-    counts = np.bincount(keys.ravel(), minlength=grids * m)
+    counts = np.bincount(bmus, minlength=m)
     live = np.flatnonzero(counts)
     stops = np.cumsum(counts)[live]
     starts = stops - counts[live]
-    order = np.argsort(keys, axis=None, kind="stable") // grids  # rows, by group
-    levels = _level_sums(np.take(values, order, axis=0), starts)
-    sums = np.zeros((grids * m, values.shape[1]))
-    cells = zip(*levels.reshape(len(levels), -1).tolist())
-    sums[live] = np.reshape(list(map(math.fsum, cells)), levels.shape[1:])
-    for g, j in zip(*np.nonzero(~levels.any(axis=0))):
+    order = np.argsort(bmus, kind="stable")  # rows, by unit
+    parts = np.array([np.add.reduceat(np.take(level, order, axis=0), starts, axis=0)
+                      for level in levels])
+    sums = np.zeros((m, values.shape[1]))
+    cells = zip(*parts.reshape(len(parts), -1).tolist())
+    sums[live] = np.reshape(list(map(math.fsum, cells)), parts.shape[1:])
+    for g, j in zip(*np.nonzero(~parts.any(axis=0))):
         sums[live[g], j] = math.fsum(values[order[starts[g]:stops[g]], j].tolist())
-    return sums.reshape(grids, m, -1), counts.reshape(grids, m)
+    return sums, counts
 
 
 def _planar_squared_distances(rows: int, cols: int) -> np.ndarray:
@@ -405,31 +409,28 @@ def _planar_squared_distances(rows: int, cols: int) -> np.ndarray:
     return dx * dx + dy * dy
 
 
-def _update(values: np.ndarray, stack: np.ndarray, bmus: np.ndarray, sigmas, planar):
-    """batch_epoch for each grid of a C x M x n stack, grid c at width sigmas[c].
+def _update(values, levels, vectors, bmus, sigma, planar):
+    """batch_epoch's update of one grid's M x n vectors, at width sigma.
 
-    bmus is N x C and planar the lattice's _planar_squared_distances. As many
-    grids as fit C N n <= _BLOCK_PAIRS share one _group_sums call.
+    levels is _split_levels(values), bmus the unit of each row and planar
+    the lattice's _planar_squared_distances.
     """
-    out = stack.copy()
-    per = max(1, _BLOCK_PAIRS // values.size)
-    for c, sigma in enumerate(sigmas):
-        if c % per == 0:
-            sums, counts = _group_sums(values, bmus[:, c:c + per], len(planar))
-        live = np.flatnonzero(counts[c % per])
-        # exp(d / -(2 sigma^2)), which rounds as exp(-d / (2 sigma^2)) does; if
-        # 2 sigma^2 underflows, the zero-width kernel: 1 at distance 0 only
-        width = -2.0 * sigma * sigma
-        with np.errstate(under="ignore"):
-            weights = np.exp(planar[live] / width) if width else planar[live] == 0.0
-        # each column, counts last, sums the live units' terms in unit order,
-        # from +0.0, as a running sum over the units would: deterministic
-        terms = np.column_stack([
-            np.add.reduce(weights * column[:, None], axis=0, initial=0.0)
-            for column in np.column_stack([sums[c % per, live], counts[c % per, live]]).T
-        ])
-        alive = terms[:, -1] > 0.0
-        out[c, alive] = terms[alive, :-1] / terms[alive, -1:]
+    sums, counts = _group_sums(values, levels, bmus, len(planar))
+    live = np.flatnonzero(counts)
+    # exp(d / -(2 sigma^2)), which rounds as exp(-d / (2 sigma^2)) does; if
+    # 2 sigma^2 underflows, the zero-width kernel: 1 at distance 0 only
+    width = -2.0 * sigma * sigma
+    with np.errstate(under="ignore"):
+        weights = np.exp(planar[live] / width) if width else planar[live] == 0.0
+    # each column, counts last, sums the live units' terms in unit order,
+    # from +0.0, as a running sum over the units would: deterministic
+    terms = np.column_stack([
+        np.add.reduce(weights * column[:, None], axis=0, initial=0.0)
+        for column in np.column_stack([sums[live], counts[live]]).T
+    ])
+    alive = terms[:, -1] > 0.0
+    out = vectors.copy()
+    out[alive] = terms[alive, :-1] / terms[alive, -1:]
     return out
 
 
@@ -445,10 +446,11 @@ def batch_epoch(grid: SomGrid, data: DataMatrix, sigma: float) -> SomGrid:
     """
     if not (sigma > 0):  # negated, so that NaN fails too
         raise ValueError(f"sigma must be positive, got {sigma}")
-    bmus = bmu_indices(data.values, grid)
+    values = data.values
+    bmus = bmu_indices(values, grid)
     planar = _planar_squared_distances(grid.rows, grid.cols)
-    vectors = _update(data.values, grid.reference_vectors[None], bmus[:, None], (sigma,), planar)
-    return SomGrid(grid.rows, grid.cols, vectors[0])
+    vectors = _update(values, _split_levels(values), grid.reference_vectors, bmus, sigma, planar)
+    return SomGrid(grid.rows, grid.cols, vectors)
 
 
 def sigma_schedule(sigma_initial: float, sigma_final: float, epochs: int) -> tuple[float, ...]:
@@ -477,12 +479,9 @@ def sigma_schedule(sigma_initial: float, sigma_final: float, epochs: int) -> tup
 def train(data: DataMatrix, rows: int, cols: int, config: TrainConfig) -> TrainResult:
     """Run the full batch schedule; deterministic given data and config.
 
-    One schedule is trained: choosing among sigma_candidates is select_sigma's
-    job, so a config that sets them without a sigma_final is rejected. The
-    result is bit for bit the one select_sigma gives for the same final sigma.
+    The result is bit for bit the one select_sigma gives for the same final
+    sigma.
     """
-    if config.sigma_final is None and config.sigma_candidates is not None:
-        raise ValueError("train runs one schedule; pass sigma_candidates to select_sigma")
     sf = config.resolved_sigmas(rows, cols)[1]
     return _train_schedules(data, rows, cols, config, (sf,))[0]
 
@@ -493,32 +492,31 @@ def _train_schedules(
     """One trained map per final sigma in `finals`, each from config's sigma_initial.
 
     Every schedule's first sigma is sigma_initial exactly (si + (sf - si) * 0.0),
-    so all maps share the initial grid, the first epoch and the searches on
-    both sides of it: that prefix is trained once. The C maps then go on in
-    lockstep as one C x M x n stack; each later epoch is one _update of the
-    stack, then one _nearest search per grid, whose squared distances also
-    give that grid's quantization error. Every result is the one a separate
-    run of its schedule gives, bit for bit.
+    so all maps share the initial grid, the first epoch and the search after
+    it: that prefix is trained once. Each schedule then goes on alone; each
+    later epoch is one _update, then one _nearest search, whose squared
+    distances also give the quantization error. The rows are split into
+    levels once, for every update. Every result is the one a separate run of
+    its schedule gives, bit for bit.
     """
     si = config.resolved_initial(rows, cols)
     schedules = [sigma_schedule(si, sf, config.epochs) for sf in finals]
     values = data.values
     grid = batch_epoch(init_grid(rows, cols, data, config.seed), data, si)
-    bmus, squared = _nearest(values, grid.reference_vectors, 1)
-    errors = [[_quantization_error(squared)] * len(finals)]
-
-    stack = grid.reference_vectors[None].repeat(len(finals), axis=0)
-    bmus = bmus.repeat(len(finals), axis=1)
+    first_bmus, squared = _nearest(values, grid.reference_vectors, 1)
+    first_error = _quantization_error(squared)
+    levels = _split_levels(values)
     planar = _planar_squared_distances(rows, cols)
-    for sigmas in list(zip(*schedules))[1:]:
-        stack = _update(values, stack, bmus, sigmas, planar)
-        found = [_nearest(values, vectors, 1) for vectors in stack]
-        bmus = np.hstack([indices for indices, _ in found])
-        errors.append([_quantization_error(squared) for _, squared in found])
-    return [
-        TrainResult(SomGrid(rows, cols, vectors), sigmas, grid_errors)
-        for vectors, sigmas, grid_errors in zip(stack, schedules, zip(*errors))
-    ]
+    results = []
+    for sigmas in schedules:
+        vectors, bmus, errors = grid.reference_vectors, first_bmus[:, 0], [first_error]
+        for sigma in sigmas[1:]:
+            vectors = _update(values, levels, vectors, bmus, sigma, planar)
+            indices, squared = _nearest(values, vectors, 1)
+            bmus = indices[:, 0]
+            errors.append(_quantization_error(squared))
+        results.append(TrainResult(SomGrid(rows, cols, vectors), sigmas, tuple(errors)))
+    return results
 
 
 def _quantization_error(squared: np.ndarray) -> float:
@@ -618,16 +616,22 @@ def goodness(grid: SomGrid, data: DataMatrix) -> float:
 
 
 def select_sigma(
-    data: DataMatrix, rows: int, cols: int, config: TrainConfig
+    data: DataMatrix,
+    rows: int,
+    cols: int,
+    config: TrainConfig,
+    candidates: Iterable[float] | None = None,
 ) -> tuple[float, TrainResult, float]:
     """Train one SOM per final sigma of config.final_sigmas and keep the best map.
 
-    Returns the sigma minimizing goodness together with its trained result
-    and its goodness; goodness ties within 1e-12 resolve to the smaller
-    sigma. The candidates share their first epoch and then train in lockstep
-    (_train_schedules); each result is bit for bit train's for that final sigma.
+    `candidates` are the final sigmas to choose from (the defaults if None);
+    a config that sets sigma_final trains that one alone. Returns the sigma
+    minimizing goodness together with its trained result and its goodness;
+    goodness ties within 1e-12 resolve to the smaller sigma. The candidates
+    share their first epoch (_train_schedules); each result is bit for bit
+    train's for that final sigma.
     """
-    finals = config.final_sigmas(rows, cols)
+    finals = config.final_sigmas(rows, cols, candidates)
     results = [
         (sf, result, goodness(result.grid, data))
         for sf, result in zip(finals, _train_schedules(data, rows, cols, config, finals))

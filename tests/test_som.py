@@ -377,9 +377,7 @@ def _many_levels(rng):
         -rng.uniform(0.5, 1.0, (n, 8)),
     ])
     bmus = np.where(rng.random(n) < 0.9, 0, rng.integers(1, 4, size=n))
-    order = np.argsort(bmus, kind="stable")
-    starts = np.flatnonzero(np.diff(bmus[order], prepend=-1))
-    assert len(som._level_sums(values[order], starts)) > 2
+    assert len(som._split_levels(values)) > 2
     return values, bmus, 4
 
 
@@ -388,7 +386,7 @@ def _near_overflow_columns(rng):
     # and beyond the largest double in column 1, which math.fsum sums alone
     values = rng.uniform(-1.0, 1.0, size=(30, 2)) * 2.0 ** np.array([1016, 1018])
     values[7] = 1.5 * 2.0 ** np.array([1016, 1018])
-    levels = som._level_sums(values.copy(), np.arange(0, 30, 3))
+    levels = som._split_levels(values)
     assert levels[:, :, 0].any() and not levels[:, :, 1].any()
     return values, np.repeat(np.arange(10), 3), 10
 
@@ -406,18 +404,35 @@ GROUP_SUM_CASES = {
 
 
 @pytest.mark.parametrize("case", list(GROUP_SUM_CASES))
+def test_split_levels_follow_their_rows_bitwise(case):
+    # each row's levels are the same in any row order, so one split serves
+    # every step's grouping of the rows
+    rng = np.random.default_rng(23)
+    values, _, _ = GROUP_SUM_CASES[case](rng)
+    perm = rng.permutation(len(values))
+    levels = som._split_levels(values)
+    assert np.array_equal(som._split_levels(values[perm]).view(np.uint64),
+                          levels[:, perm].view(np.uint64))
+    # the levels add up to each value exactly: math.fsum of a row's levels
+    # is the value itself (up to a zero's sign, or a column left out)
+    cells = zip(*levels.reshape(len(levels), -1).tolist())
+    total = np.reshape(list(map(math.fsum, cells)), values.shape)
+    covered = levels.any(axis=0)
+    assert np.array_equal(total[covered], values[covered])
+
+
+@pytest.mark.parametrize("case", list(GROUP_SUM_CASES))
 def test_group_sums_are_math_fsum_bitwise(case):
-    # alone, and stacked with two other assignments of the same rows: a grid's
-    # sums do not depend on the grids summed with it
+    # in the case's row order and in a shuffled one, with the levels split
+    # from the rows in that order: the sums do not depend on it
     rng = np.random.default_rng(17)
     values, bmus, m = GROUP_SUM_CASES[case](rng)
-    stacked = np.column_stack([rng.permutation(bmus), bmus, np.sort(bmus)])
-    for assignments in (bmus[:, None], stacked):
-        sums, counts = som._group_sums(values, assignments, m)
-        for grid_bmus, grid_sums, grid_counts in zip(assignments.T, sums, counts):
-            expected, expected_counts = fsum_group_sums(values, grid_bmus, m)
-            assert np.array_equal(grid_counts, expected_counts)
-            assert np.array_equal(grid_sums.view(np.uint64), expected.view(np.uint64))
+    perm = rng.permutation(len(values))
+    for rows, units in ((values, bmus), (values[perm], bmus[perm])):
+        sums, counts = som._group_sums(rows, som._split_levels(rows), units, m)
+        expected, expected_counts = fsum_group_sums(rows, units, m)
+        assert np.array_equal(counts, expected_counts)
+        assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
 
 
 def test_group_sums_keep_math_fsum_overflow():
@@ -426,7 +441,7 @@ def test_group_sums_keep_math_fsum_overflow():
     with pytest.raises(OverflowError):
         fsum_group_sums(values, bmus, 2)
     with pytest.raises(OverflowError):
-        som._group_sums(values, bmus[:, None], 2)
+        som._group_sums(values, som._split_levels(values), bmus, 2)
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 0.3, 1.0, 4.0])
@@ -457,7 +472,7 @@ def test_batch_epoch_sums_from_plus_zero_like_the_loop():
     grid = SomGrid(1, 40, np.column_stack([np.zeros(40), np.arange(40.0) + 100.0]))
     bmus = np.zeros(5, dtype=np.intp)
     planar = som._planar_squared_distances(1, 40)
-    out = som._update(values, grid.reference_vectors[None], bmus[:, None], (1.0,), planar)[0]
+    out = som._update(values, som._split_levels(values), grid.reference_vectors, bmus, 1.0, planar)
     expected = loop_batch_epoch(grid, data, 1.0, bmus)
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
     assert (out[38:, 0] == 0.0).all() and not np.signbit(out[38:, 0]).any()
@@ -799,7 +814,7 @@ def test_nearest_unit_search_random_adversarial_cases():
 
 
 def stacked_variants(vectors, rng):
-    """Five grids of one shape, as a lockstep stack might hold: the case's own,
+    """Five grids of one shape, as the sigma candidates might train: the case's own,
     one past the safe reach (every row unsafe), a unit permutation, a copy
     with a tripled unit, and a rescaling."""
     tripled = vectors.copy()
@@ -817,7 +832,7 @@ def brute_force_nearest(squared, k, rank):
 @pytest.mark.parametrize("rows_per_block", [None, 7], ids=["default-blocks", "7-row-blocks"])
 @pytest.mark.parametrize("case", list(NEAREST_CASES))
 def test_stacked_search_is_the_per_grid_search_bitwise(case, rows_per_block, monkeypatch):
-    # the lockstep searches each grid of its stack alone: every one of the five
+    # training searches each candidate's grid alone: every one of the five
     # variants, at training's k = 1 and goodness's k = 2 ranked by distance,
     # is the stable argsort of its full distance matrix
     rng = np.random.default_rng(2024)
@@ -914,9 +929,10 @@ def test_goodness_search_memory_is_bounded_by_a_block():
 
 
 def spy_on_training(monkeypatch):
-    """Records each search (k and the vectors searched) and each update (its sigmas)."""
-    calls = {"bmu_indices": 0, "batch_epoch": 0, "searches": [], "updates": []}
-    names = ("bmu_indices", "batch_epoch", "_nearest", "_update")
+    """Counts calls and level splits; records each search (k and the vectors
+    searched) and each update (its sigma and the vectors it returned)."""
+    calls = {"bmu_indices": 0, "batch_epoch": 0, "_split_levels": 0, "searches": [], "updates": []}
+    names = ("bmu_indices", "batch_epoch", "_split_levels", "_nearest", "_update")
     real = {name: getattr(som, name) for name in names}
 
     def counted(name):
@@ -929,11 +945,13 @@ def spy_on_training(monkeypatch):
         calls["searches"].append((k, vectors.copy()))
         return real["_nearest"](values, vectors, k, rank)
 
-    def update(values, stack, bmus, sigmas, planar):
-        calls["updates"].append(tuple(sigmas))
-        return real["_update"](values, stack, bmus, sigmas, planar)
+    def update(values, levels, vectors, bmus, sigma, planar):
+        out = real["_update"](values, levels, vectors, bmus, sigma, planar)
+        calls["updates"].append((sigma, out.copy()))
+        return out
 
-    spies = (counted("bmu_indices"), counted("batch_epoch"), search, update)
+    spies = (counted("bmu_indices"), counted("batch_epoch"), counted("_split_levels"),
+             search, update)
     for name, spy in zip(names, spies):
         monkeypatch.setattr(som, name, spy)
     return calls
@@ -945,7 +963,7 @@ def test_train_searches_each_grid_once(iris_std, monkeypatch):
     calls = spy_on_training(monkeypatch)
     result = train(iris_std, 3, 4, TrainConfig(epochs=4, seed=0))
     monkeypatch.undo()
-    assert (calls["bmu_indices"], calls["batch_epoch"]) == (1, 1)
+    assert (calls["bmu_indices"], calls["batch_epoch"], calls["_split_levels"]) == (1, 1, 2)
     assert len(calls["updates"]) == 4 and [k for k, _ in calls["searches"]] == [1] * 5
     grids = [vectors for _, vectors in calls["searches"]]
     assert np.array_equal(grids[0], init_grid(3, 4, iris_std).reference_vectors)
@@ -959,8 +977,7 @@ def test_train_searches_each_grid_once(iris_std, monkeypatch):
 # automatic sigma selection
 
 def test_select_sigma_single_candidate(iris_std):
-    cfg = TrainConfig(epochs=3, sigma_candidates=(0.9,), seed=0)
-    sigma, result, g = select_sigma(iris_std, 3, 3, cfg)
+    sigma, result, g = select_sigma(iris_std, 3, 3, TrainConfig(epochs=3, seed=0), (0.9,))
     assert sigma == 0.9
     assert result.sigmas[-1] == 0.9
     assert g == goodness(result.grid, iris_std)
@@ -968,8 +985,7 @@ def test_select_sigma_single_candidate(iris_std):
 
 def test_select_sigma_returns_argmin():
     data = make_gaussian_clusters(60, 3, seed=1)
-    cfg = TrainConfig(epochs=10, sigma_candidates=(0.5, 1.0), seed=0)
-    sigma, result, g = select_sigma(data, 4, 4, cfg)
+    sigma, result, g = select_sigma(data, 4, 4, TrainConfig(epochs=10, seed=0), (0.5, 1.0))
     chosen = goodness(result.grid, data)
     assert g == chosen
     for cand in (0.5, 1.0):
@@ -980,28 +996,26 @@ def test_select_sigma_returns_argmin():
 def test_select_sigma_tie_prefers_smaller():
     # one epoch uses only sigma_initial, so both candidates train identically
     data = make_gaussian_clusters(30, 3, seed=2)
-    cfg = TrainConfig(epochs=1, sigma_candidates=(0.5, 1.0), seed=0)
-    sigma, _, _ = select_sigma(data, 3, 3, cfg)
+    sigma, _, _ = select_sigma(data, 3, 3, TrainConfig(epochs=1, seed=0), (0.5, 1.0))
     assert sigma == 0.5
 
 
 def test_select_sigma_rejects_empty_candidates(iris_std):
-    cfg = TrainConfig(epochs=2, sigma_candidates=(), seed=0)
     with pytest.raises(ValueError, match="non-empty"):
-        select_sigma(iris_std, 3, 3, cfg)
+        select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, seed=0), ())
 
 
 def test_select_sigma_rejects_out_of_range_candidate(iris_std):
-    cfg = TrainConfig(epochs=2, sigma_candidates=(5.0,), seed=0)
     with pytest.raises(ValueError, match="outside"):
-        select_sigma(iris_std, 3, 3, cfg)
+        select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, seed=0), (5.0,))
 
 
 def test_select_sigma_trains_only_a_set_sigma_final(iris_std, monkeypatch):
     calls = spy_on_training(monkeypatch)
-    sigma, result, g = select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, sigma_final=0.9))
-    # the default candidates would make the last update (0.4, 0.7, 1.0, 1.5)
-    assert calls["updates"] == [(1.5,), (0.9,)]
+    sigma, result, g = select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, sigma_final=0.9),
+                                    (0.4, 0.7))
+    # sigma_final wins: the candidates would have added updates at 0.4 and 0.7
+    assert [s for s, _ in calls["updates"]] == [1.5, 0.9]
     assert sigma == 0.9 and result.sigmas == (1.5, 0.9)
     assert g == goodness(result.grid, iris_std)
 
@@ -1035,11 +1049,11 @@ def assert_same_training(result, grid, sigmas, errors):
 
 @pytest.mark.parametrize("epochs", [1, 2, 3, 5])
 def test_candidates_sharing_their_first_epoch_train_as_if_alone(iris_std, epochs):
-    cfg = TrainConfig(epochs=epochs, sigma_candidates=(0.5, 0.8, 1.1), seed=0)
-    finals = cfg.final_sigmas(4, 5)
+    cfg = TrainConfig(epochs=epochs, seed=0)
+    finals = cfg.final_sigmas(4, 5, (0.5, 0.8, 1.1))
     for sf, result in zip(finals, som._train_schedules(iris_std, 4, 5, cfg, finals)):
         assert_same_training(result, *separate_train(iris_std, 4, 5, 2.5, sf, epochs))
-    sigma, result, _ = select_sigma(iris_std, 4, 5, cfg)
+    sigma, result, _ = select_sigma(iris_std, 4, 5, cfg, finals)
     alone = train(iris_std, 4, 5, TrainConfig(epochs=epochs, sigma_final=sigma, seed=0))
     assert_same_training(result, alone.grid, alone.sigmas, alone.quantization_errors)
 
@@ -1047,8 +1061,8 @@ def test_candidates_sharing_their_first_epoch_train_as_if_alone(iris_std, epochs
 def test_lockstep_matches_training_alone_through_kmeans_steps_and_dead_units(iris_std):
     # 2 sigma^2 stays normal for the 1e-150 schedule; the other one's last
     # sigma is about 1e-163, whose 2 sigma^2 underflows (the k-means step)
-    cfg = TrainConfig(epochs=3, sigma_initial=1e-150, sigma_candidates=(1e-163, 1e-150))
-    finals = cfg.final_sigmas(4, 5)
+    cfg = TrainConfig(epochs=3, sigma_initial=1e-150)
+    finals = cfg.final_sigmas(4, 5, (1e-163, 1e-150))
     results = som._train_schedules(iris_std, 4, 5, cfg, finals)
     widths = [-2.0 * r.sigmas[-1] * r.sigmas[-1] for r in results]
     assert widths[0] == 0.0 and widths[1] != 0.0
@@ -1065,60 +1079,58 @@ def test_lockstep_matches_training_alone_through_kmeans_steps_and_dead_units(iri
 def test_select_sigma_searches_and_updates_the_shared_first_epoch_once(
     iris_std, monkeypatch, candidates, epochs
 ):
-    # the prefix once (2 searches, 1 update), then epochs - 1 steps that each
-    # update all candidates' grids as one stack and search each grid alone;
-    # goodness searches each result once
+    # the prefix once (2 searches, 1 update), then each candidate's schedule
+    # in turn, whose epochs - 1 steps each update its grid and search the
+    # grid that update returned; the levels are split once in batch_epoch and
+    # once for the rest; goodness searches each result once
     calls = spy_on_training(monkeypatch)
-    select_sigma(iris_std, 3, 4, TrainConfig(epochs=epochs, sigma_candidates=candidates))
-    assert (calls["bmu_indices"], calls["batch_epoch"]) == (1, 1)
-    assert calls["updates"] == [(2.0,)] + [
-        tuple(sigma_schedule(2.0, sf, epochs)[step] for sf in candidates)
-        for step in range(1, epochs)]
+    select_sigma(iris_std, 3, 4, TrainConfig(epochs=epochs), candidates)
+    assert (calls["bmu_indices"], calls["batch_epoch"], calls["_split_levels"]) == (1, 1, 2)
+    assert [sigma for sigma, _ in calls["updates"]] == [2.0] + [
+        sigma_schedule(2.0, sf, epochs)[step] for sf in candidates for step in range(1, epochs)]
     c = len(candidates)
     assert [k for k, _ in calls["searches"]] == [1] * (2 + c * (epochs - 1)) + [2] * c
     assert all(vectors.shape == (12, 4) for _, vectors in calls["searches"])
+    searched = [vectors for _, vectors in calls["searches"][1:2 + c * (epochs - 1)]]
+    assert len(searched) == len(calls["updates"])
+    for vectors, (_, updated) in zip(searched, calls["updates"]):
+        assert np.array_equal(vectors, updated)
 
 
-@pytest.mark.parametrize("config, rows, cols, expected", [
-    (TrainConfig(sigma_final=0.9), 3, 3, (0.9,)),
-    (TrainConfig(sigma_final=0.9, sigma_candidates=(0.4, 0.7)), 3, 3, (0.9,)),
-    (TrainConfig(), 3, 3, (0.4, 0.7, 1.0, 1.5)),
-    (TrainConfig(), 6, 7, som.DEFAULT_SIGMA_CANDIDATES),
-    (TrainConfig(sigma_candidates=(1.1, 0.5, 0.8)), 3, 3, (0.5, 0.8, 1.1)),
+@pytest.mark.parametrize("config, rows, cols, candidates, expected", [
+    (TrainConfig(sigma_final=0.9), 3, 3, None, (0.9,)),
+    (TrainConfig(sigma_final=0.9), 3, 3, (0.4, 0.7), (0.9,)),
+    (TrainConfig(), 3, 3, None, (0.4, 0.7, 1.0, 1.5)),
+    (TrainConfig(), 6, 7, None, som.DEFAULT_SIGMA_CANDIDATES),
+    (TrainConfig(), 3, 3, (1.1, 0.5, 0.8), (0.5, 0.8, 1.1)),
 ], ids=["fixed", "fixed-over-candidates", "defaults-up-to-initial", "all-defaults",
         "candidates-ascending"])
-def test_final_sigmas(config, rows, cols, expected):
-    assert config.final_sigmas(rows, cols) == expected
+def test_final_sigmas(config, rows, cols, candidates, expected):
+    assert config.final_sigmas(rows, cols, candidates) == expected
 
 
-@pytest.mark.parametrize("settings, rows, cols, message", [
-    (dict(sigma_candidates=()), 3, 3, "sigma_candidates must be non-empty"),
-    (dict(sigma_candidates=(0.4, 5.0)), 3, 3, r"sigma candidate 5.0 outside \(0, "),
-    (dict(sigma_candidates=(0.0,)), 3, 3, "outside"),
-    (dict(sigma_initial=0.3), 3, 3, "no default sigma candidate fits"),
-    (dict(sigma_initial=0.5, sigma_final=2.0), 3, 3, "need 0 < sigma_final"),
-    (dict(sigma_initial=-1.0), 6, 7, "sigma_initial must be positive, got -1.0"),
-    (dict(sigma_initial=float("nan")), 6, 7, "sigma_initial must be positive, got nan"),
-    (dict(sigma_final=-1.0), 6, 7, "sigma_final must be positive, got -1.0"),
-    (dict(sigma_final=0.0), 6, 7, "sigma_final must be positive, got 0.0"),
-    (dict(sigma_final=float("nan")), 6, 7, "sigma_final must be positive, got nan"),
-    (dict(), 0, 3, "grid must have at least one row and one column"),
-    (dict(sigma_final=0.5), 3, 0, "grid must have at least one row and one column"),
-    (dict(), 1, 1, "grid 1x1 has 1 unit; a map needs at least 2"),
-    (dict(sigma_initial=3.0, sigma_candidates=(0.4, 0.7)), 1, 1, "grid 1x1 has 1"),
-    (dict(sigma_final=0.5), 1, 1, "grid 1x1 has 1 unit"),
+@pytest.mark.parametrize("settings, rows, cols, candidates, message", [
+    (dict(), 3, 3, (), "sigma_candidates must be non-empty"),
+    (dict(), 3, 3, (0.4, 5.0), r"sigma candidate 5.0 outside \(0, "),
+    (dict(), 3, 3, (0.0,), "outside"),
+    (dict(sigma_initial=0.3), 3, 3, None, "no default sigma candidate fits"),
+    (dict(sigma_initial=0.5, sigma_final=2.0), 3, 3, None, "need 0 < sigma_final"),
+    (dict(sigma_initial=-1.0), 6, 7, None, "sigma_initial must be positive, got -1.0"),
+    (dict(sigma_initial=float("nan")), 6, 7, None, "sigma_initial must be positive, got nan"),
+    (dict(sigma_final=-1.0), 6, 7, None, "sigma_final must be positive, got -1.0"),
+    (dict(sigma_final=0.0), 6, 7, None, "sigma_final must be positive, got 0.0"),
+    (dict(sigma_final=float("nan")), 6, 7, None, "sigma_final must be positive, got nan"),
+    (dict(), 0, 3, None, "grid must have at least one row and one column"),
+    (dict(sigma_final=0.5), 3, 0, None, "grid must have at least one row and one column"),
+    (dict(), 1, 1, None, "grid 1x1 has 1 unit; a map needs at least 2"),
+    (dict(sigma_initial=3.0), 1, 1, (0.4, 0.7), "grid 1x1 has 1"),
+    (dict(sigma_final=0.5), 1, 1, None, "grid 1x1 has 1 unit"),
 ], ids=["empty", "out-of-range", "zero", "no-default-fits", "final-above-initial",
         "initial-negative", "initial-nan", "final-negative", "final-zero", "final-nan",
         "grid-0x3", "grid-3x0", "one-unit", "one-unit-over-candidates", "one-unit-fixed"])
-def test_final_sigmas_rejects(settings, rows, cols, message):
+def test_final_sigmas_rejects(settings, rows, cols, candidates, message):
     with pytest.raises(ValueError, match=message):
-        TrainConfig(**settings).final_sigmas(rows, cols)
-
-
-def test_train_rejects_candidates_without_a_final_sigma(iris_std, monkeypatch):
-    monkeypatch.setattr(som, "init_grid", None)  # rejected before any training
-    with pytest.raises(ValueError, match="pass sigma_candidates to select_sigma"):
-        train(iris_std, 6, 7, TrainConfig(epochs=3, sigma_candidates=(0.4,)))
+        TrainConfig(**settings).final_sigmas(rows, cols, candidates)
 
 
 # ----------------------------------------------------------------------------
