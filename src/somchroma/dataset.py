@@ -1,7 +1,7 @@
 """Delimited numeric data ingestion and standardization.
 
 CSV dialect: comma separator, optional double-quote quoting, '.' decimal
-point, UTF-8. Standardization centers each column and scales non-constant
+point, UTF-8 with or without a byte-order mark. Standardization centers each column and scales non-constant
 columns to unit (unbiased) sample variance so every variable carries equal
 weight downstream.
 """
@@ -129,7 +129,7 @@ def load_csv(
         Unreadable file.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = _records(csv.reader(fh))
         first = next(records, None)
         if first is None:

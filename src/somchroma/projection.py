@@ -178,28 +178,32 @@ def _clear_coincident_pairs(w: np.ndarray, dy: np.ndarray):
     """Zero the weights of pairs whose embedded points coincide (dy == 0).
 
     The weights come from divisions by dy, so such pairs hold nan or inf.
-    Their direction y[j] - y[h] is undefined, so they get weight 0. When one
-    pass finds dy zero only on its diagonal (which `_weighted_grad` clears),
-    w is left as it is.
+    Their direction y[j] - y[h] is undefined, so they get weight 0. Any such
+    pair off the diagonal makes its row's gradient non-finite, so `grad`
+    applies this rule only to a gradient that came out non-finite, and
+    computes it again. Applied to any other w, it would clear only the
+    diagonal, which `_weighted_grad` clears anyway.
     """
-    if np.count_nonzero(dy) != dy.size - dy.shape[0]:
-        w[dy == 0.0] = 0.0
+    w[dy == 0.0] = 0.0
 
 
-def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: float | None = None):
+def _objective(method: str, dx: np.ndarray, dy: np.ndarray, mask: np.ndarray | None = None,
+               t: float | None = None):
     """Stress and gradient of `method` over the fixed input distances `dx`.
 
-    Returns `(stress, grad)`: `stress(dy)` and `grad(y, dy)` take the output
-    distances `dy = pairwise_distances(y)` from the caller, so one distance
-    pass serves both. Everything that depends on `dx` alone (pair indices,
-    the Sammon normalizer, the lmds near/far split over neighbor `mask` with
-    repulsion weight `t`) is computed here once.
+    Returns `(stress, grad, t)`: `stress(dy)` and `grad(y, dy)` take the
+    output distances `dy = pairwise_distances(y)` from the caller, so one
+    distance pass serves both. Everything that depends on `dx` alone (pair
+    indices, the Sammon normalizer, the lmds near/far split over neighbor
+    `mask`) is computed here once. The lmds repulsion weight `t` defaults to
+    1% of the attraction term at the start layout's distances `dy`; the
+    weight used is returned, and None for the other methods.
 
     Each method computes its pair weights one way, dividing by `dy` without a
     mask; a positive `dy` is at least 2.2e-162, so `1/dy` is finite. The lmds
     near weights are computed only at the neighbor entries, gathered and put
-    back through flat indices precomputed here. Pairs at zero output distance
-    take one rule, `_clear_coincident_pairs`, before `_weighted_grad`.
+    back through flat indices precomputed here. A gradient that comes out
+    non-finite is computed again after `_clear_coincident_pairs`.
     """
     m = dx.shape[0]
     iu = np.triu_indices(m, k=1)
@@ -239,10 +243,13 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
         dx_mask = dx.take(mask_flat)
         scale = 1.0
 
+        def attraction_term(dy):
+            return np.sum((dx_near - dy.take(near_flat)) ** 2)
+
+        t = 0.01 * float(attraction_term(dy)) if t is None else float(t)
+
         def stress(dy):
-            attraction = np.sum((dx_near - dy.take(near_flat)) ** 2)
-            repulsion = np.sum(dy.take(far_flat))
-            return float(attraction - t * repulsion)
+            return float(attraction_term(dy) - t * np.sum(dy.take(far_flat)))
 
         def weights(dy):
             w = np.divide(1.0, dy)
@@ -260,17 +267,20 @@ def _objective(method: str, dx: np.ndarray, mask: np.ndarray | None = None, t: f
     def grad(y, dy):
         with np.errstate(divide="ignore", invalid="ignore"):
             w = weights(dy)
-        _clear_coincident_pairs(w, dy)
-        return scale * _weighted_grad(w, y)
+            g = _weighted_grad(w, y)
+        if not np.isfinite(g).all():
+            _clear_coincident_pairs(w, dy)
+            g = _weighted_grad(w, y)
+        return scale * g
 
-    return stress, grad
+    return stress, grad, t if method == "lmds" else None
 
 
 def mds_stress(dx: np.ndarray, y: np.ndarray) -> float:
     """Sum over unordered pairs of squared (input vs output) distance errors."""
     _check_sizes(dx, y)
-    stress, _ = _objective("metric_mds", dx)
-    return stress(pairwise_distances(y))
+    dy = pairwise_distances(y)
+    return _objective("metric_mds", dx, dy)[0](dy)
 
 
 def sammon_stress(dx: np.ndarray, y: np.ndarray) -> float:
@@ -280,8 +290,8 @@ def sammon_stress(dx: np.ndarray, y: np.ndarray) -> float:
     cannot be used as a weight); the offending pair is reported.
     """
     _check_sizes(dx, y)
-    stress, _ = _objective("sammon", dx)
-    return stress(pairwise_distances(y))
+    dy = pairwise_distances(y)
+    return _objective("sammon", dx, dy)[0](dy)
 
 
 def _neighbor_mask(m: int, neighbors) -> np.ndarray:
@@ -299,8 +309,8 @@ def lmds_stress(dx: np.ndarray, y: np.ndarray, neighbors, t: float) -> float:
     _check_sizes(dx, y)
     if not (0 <= t < math.inf):  # negated, so that NaN fails too
         raise ValueError(f"repulsion weight t must be finite and nonnegative, got {t}")
-    stress, _ = _objective("lmds", dx, _neighbor_mask(dx.shape[0], neighbors), t)
-    return stress(pairwise_distances(y))
+    dy = pairwise_distances(y)
+    return _objective("lmds", dx, dy, _neighbor_mask(dx.shape[0], neighbors), t)[0](dy)
 
 
 def _check_neighbor_count(k: int, m: int):
@@ -316,14 +326,12 @@ def knn_pairs(dx: np.ndarray, k: int) -> set[tuple[int, int]]:
     """
     m = dx.shape[0]
     _check_neighbor_count(k, m)
-    pairs = set()
-    for j in range(m):
-        d = dx[j].copy()
-        d[j] = np.inf
-        nearest = np.argsort(d, kind="stable")[:k]
-        for h in nearest:
-            pairs.add((min(j, int(h)), max(j, int(h))))
-    return pairs
+    d = np.array(dx, dtype=float)
+    np.fill_diagonal(d, np.inf)
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+    rows = np.repeat(np.arange(m), k)
+    cols = nearest.ravel()
+    return set(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))
 
 
 def classical_scaling(dx: np.ndarray) -> np.ndarray:
@@ -369,17 +377,10 @@ def project(vectors: np.ndarray, config: ProjectionConfig) -> ProjectionResult:
 
     mask = None
     k_used = None
-    t_used = None
     if config.method == "lmds":
         k_used = config.neighbor_count(m)
         mask = _neighbor_mask(m, knn_pairs(dx, k_used))
-        if config.repulsion_t is not None:
-            t_used = float(config.repulsion_t)
-        else:
-            # With t = 0 the localized stress is its attraction term alone.
-            attraction, _ = _objective("lmds", dx, mask, 0.0)
-            t_used = 0.01 * attraction(dy)
-    stress, grad = _objective(config.method, dx, mask, t_used)
+    stress, grad, t_used = _objective(config.method, dx, dy, mask, config.repulsion_t)
 
     step = 0.05 * float(np.mean(dx[np.triu_indices(m, k=1)]))
     if step == 0.0:

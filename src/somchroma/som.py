@@ -126,9 +126,10 @@ class TrainConfig:
 
         One when sigma_final is set, whatever the candidates. Otherwise the
         ones to choose from (final sigmas tried with sigma_initial fixed):
-        `candidates`, or the defaults up to sigma_initial. A grid needs at
-        least 2 units, as goodness, the projection and the coloring do, and
-        each final sigma's schedule must be one sigma_schedule accepts.
+        `candidates` without repeats, or the defaults up to sigma_initial. A
+        grid needs at least 2 units, as goodness, the projection and the
+        coloring do, and each final sigma's schedule must be one
+        sigma_schedule accepts.
         """
         if rows < 1 or cols < 1:
             raise ValueError("grid must have at least one row and one column")
@@ -148,7 +149,7 @@ class TrainConfig:
             for s in cands:
                 if not (0.0 < s <= si):
                     raise ValueError(f"sigma candidate {s} outside (0, sigma_initial={si}]")
-            cands = tuple(sorted(cands))
+            cands = tuple(sorted(set(cands)))
         for s in cands:
             sigma_schedule(si, s, self.epochs)
         return cands

@@ -146,9 +146,10 @@ def test_criterion_03_gradient_suite():
         mask = _neighbor_mask(10, pairs)
         dy = pairwise_distances(y)
         cases = [
-            (lambda yy: mds_stress(dx, yy), _objective("metric_mds", dx)[1](y, dy)),
-            (lambda yy: sammon_stress(dx, yy), _objective("sammon", dx)[1](y, dy)),
-            (lambda yy: lmds_stress(dx, yy, pairs, 0.1), _objective("lmds", dx, mask, 0.1)[1](y, dy)),
+            (lambda yy: mds_stress(dx, yy), _objective("metric_mds", dx, dy)[1](y, dy)),
+            (lambda yy: sammon_stress(dx, yy), _objective("sammon", dx, dy)[1](y, dy)),
+            (lambda yy: lmds_stress(dx, yy, pairs, 0.1),
+             _objective("lmds", dx, dy, mask, 0.1)[1](y, dy)),
         ]
         for f, analytic in cases:
             fd = fd_gradient(f, y)

@@ -453,6 +453,17 @@ def test_one_unit_grid_fails_before_any_stage_runs(tmp_path, iris_path, capsys, 
     assert not out.exists()
 
 
+def test_ingest_takes_a_first_class_column_after_a_byte_order_mark(tmp_path):
+    text = b"species,x,y\nsetosa,1.5,2\nvirginica,3,-4.25\nsetosa,0,1\n"
+    (tmp_path / "plain.csv").write_bytes(text)
+    (tmp_path / "bom.csv").write_bytes("\ufeff".encode() + text)
+    for name in ("plain", "bom"):
+        assert cli.main(["ingest", "--input", str(tmp_path / f"{name}.csv"), "--class-column",
+                         "species", "--out", str(tmp_path / name / "standardized.json")]) == 0
+    assert ((tmp_path / "bom" / "standardized.json").read_bytes()
+            == (tmp_path / "plain" / "standardized.json").read_bytes())
+
+
 def test_missing_input_artifact(tmp_path, capsys):
     code = cli.main(["train", "--in", str(tmp_path / "nope.json"), "--grid", "3x3",
                      "--out", str(tmp_path / "g.json")])

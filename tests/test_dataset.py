@@ -36,6 +36,24 @@ def test_load_csv_iris(iris_raw):
     ]
 
 
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark that spreadsheet exports write
+
+
+@pytest.mark.parametrize("text, settings", [
+    ("species,x,y\nsetosa,1.5,2\nvirginica,3,-4.25\n", dict(class_column="species")),
+    ("a,b\n1.5,2\n3,-4.25\n", dict()),
+    ("1.5,2\n3,-4.25\n", dict(has_header=False)),
+], ids=["class-column-first", "header", "no-header"])
+def test_load_csv_reads_past_a_byte_order_mark(tmp_path, text, settings):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    a, b = load_csv(plain, **settings), load_csv(marked, **settings)
+    assert np.array_equal(a.values, b.values) and a.values.shape == (2, 2)
+    assert a.column_names == b.column_names
+    assert (a.row_labels, a.class_labels) == (b.row_labels, b.class_labels)
+
+
 def test_load_csv_non_numeric_cell_reports_location(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,y\n1.0,2.0\n3.0,abc\n")

@@ -79,7 +79,7 @@ def einsum_weighted_grad(w, y):
     return w.sum(axis=1)[:, None] * y - np.einsum("jh,hk->jk", w, y)
 
 
-def indexed_objective(method, dx, mask=None, t=None):
+def indexed_objective(method, dx, dy, mask=None, t=None):
     iu = np.triu_indices(dx.shape[0], k=1)
     dx_u = dx[iu]
     if method == "metric_mds":
@@ -121,7 +121,23 @@ def indexed_objective(method, dx, mask=None, t=None):
             w = np.where(mask, 2.0 * (dy - dx) * inv, 0.0) - t * far * inv
             return einsum_weighted_grad(w, y)
 
-    return stress, grad
+        if t is None:  # 1% of the stress at t = 0, which is the attraction term alone
+            t = 0.0
+            t = 0.01 * stress(dy)
+        return stress, grad, t
+
+    return stress, grad, None
+
+
+def loop_knn_pairs(dx, k):
+    """knn_pairs's earlier form: one stable argsort per row."""
+    pairs = set()
+    for j in range(dx.shape[0]):
+        d = dx[j].copy()
+        d[j] = np.inf
+        for h in np.argsort(d, kind="stable")[:k]:
+            pairs.add((min(j, int(h)), max(j, int(h))))
+    return pairs
 
 
 def same_bits(a, b):
@@ -288,6 +304,31 @@ def test_knn_pairs_contains_each_points_neighbors():
         d[j] = np.inf
         for h in np.argsort(d, kind="stable")[:k]:
             assert (min(j, int(h)), max(j, int(h))) in pairs
+
+
+def _knn_inputs():
+    # a 6 x 6 square lattice, whose rows are full of exactly tied distances
+    lattice = np.array([(r, c) for r in range(6) for c in range(6)], dtype=float)
+    rng = np.random.default_rng(25)
+    return {"lattice": pairwise_distances(lattice),
+            "random": pairwise_distances(rng.standard_normal((20, 3)))}
+
+
+@pytest.mark.parametrize("name", _knn_inputs().keys())
+def test_knn_pairs_match_the_per_row_loop_for_every_k(name):
+    dx = _knn_inputs()[name]
+    for k in range(1, dx.shape[0]):
+        assert knn_pairs(dx, k) == loop_knn_pairs(dx, k), k
+
+
+def test_knn_pairs_lattice_tells_ties_to_the_higher_index_apart():
+    dx = _knn_inputs()["lattice"]
+    last = len(dx) - 1
+
+    def higher_index_first(k):  # the loop over the points in reverse order
+        return {(last - h, last - j) for j, h in loop_knn_pairs(dx[::-1, ::-1], k)}
+
+    assert any(higher_index_first(k) != loop_knn_pairs(dx, k) for k in range(1, len(dx)))
 
 
 # ----------------------------------------------------------------------------
@@ -652,8 +693,8 @@ def _objective_cases():
 
 def grads(method, dx, y, mask, t):
     dy = pairwise_distances(y)
-    return (projection._objective(method, dx, mask, t)[1](y, dy),
-            indexed_objective(method, dx, mask, t)[1](y, dy))
+    return (projection._objective(method, dx, dy, mask, t)[1](y, dy),
+            indexed_objective(method, dx, dy, mask, t)[1](y, dy))
 
 
 @pytest.mark.parametrize("method, dx, y, mask, t", _objective_cases())
@@ -722,3 +763,37 @@ def test_project_oracle_tells_a_matmul_gradient_apart(descent_inputs, monkeypatc
     monkeypatch.setattr(projection, "_weighted_grad", matmul_grad)
     assert not same_descent(project(vectors, config),
                             project_with_oracles(monkeypatch, vectors, config))
+
+
+def spy_on(monkeypatch, name):
+    """Count the calls to projection.<name>, which still does its work."""
+    calls = []
+    function = getattr(projection, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(projection, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_project_builds_one_objective_and_never_clears_pairs_in_the_descent(
+    descent_inputs, monkeypatch, method
+):
+    objectives = spy_on(monkeypatch, "_objective")
+    cleared = spy_on(monkeypatch, "_clear_coincident_pairs")
+    result = project(descent_inputs["15x15"], ProjectionConfig(method=method, max_iterations=150))
+    assert result.iterations > 10
+    assert (len(objectives), len(cleared)) == (1, 0)
+
+
+def test_coincident_rule_runs_exactly_on_the_coincident_cases(monkeypatch):
+    cleared = spy_on(monkeypatch, "_clear_coincident_pairs")
+    for case in _objective_cases():
+        del cleared[:]
+        method, dx, y, mask, t = case.values
+        dy = pairwise_distances(y)
+        assert np.isfinite(projection._objective(method, dx, dy, mask, t)[1](y, dy)).all()
+        assert len(cleared) == ("coincident" in case.id), case.id

@@ -1097,14 +1097,27 @@ def test_select_sigma_searches_and_updates_the_shared_first_epoch_once(
         assert np.array_equal(vectors, updated)
 
 
+def test_select_sigma_trains_a_repeated_candidate_once(iris_std, monkeypatch):
+    calls = spy_on_training(monkeypatch)
+    once = select_sigma(iris_std, 3, 4, TrainConfig(epochs=3), (0.5,))
+    updates, searches = len(calls["updates"]), len(calls["searches"])
+    del calls["updates"][:], calls["searches"][:]
+    twice = select_sigma(iris_std, 3, 4, TrainConfig(epochs=3), (0.5, 0.5))
+    # the shared first epoch, then one schedule's two steps; goodness searches once
+    assert (len(calls["updates"]), len(calls["searches"])) == (updates, searches) == (3, 5)
+    assert twice[0] == once[0] == 0.5 and twice[2] == once[2]
+    assert_same_training(twice[1], once[1].grid, once[1].sigmas, once[1].quantization_errors)
+
+
 @pytest.mark.parametrize("config, rows, cols, candidates, expected", [
     (TrainConfig(sigma_final=0.9), 3, 3, None, (0.9,)),
     (TrainConfig(sigma_final=0.9), 3, 3, (0.4, 0.7), (0.9,)),
     (TrainConfig(), 3, 3, None, (0.4, 0.7, 1.0, 1.5)),
     (TrainConfig(), 6, 7, None, som.DEFAULT_SIGMA_CANDIDATES),
     (TrainConfig(), 3, 3, (1.1, 0.5, 0.8), (0.5, 0.8, 1.1)),
+    (TrainConfig(), 3, 3, (0.8, 0.5, 0.8, 0.5, 0.5), (0.5, 0.8)),
 ], ids=["fixed", "fixed-over-candidates", "defaults-up-to-initial", "all-defaults",
-        "candidates-ascending"])
+        "candidates-ascending", "candidates-without-repeats"])
 def test_final_sigmas(config, rows, cols, candidates, expected):
     assert config.final_sigmas(rows, cols, candidates) == expected
 
