@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 import types
 import typing
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -135,7 +136,7 @@ class PipelineConfig:
             seed=self.seed,
         )
         # the neighbor-count check project would make, made before anything is written
-        if pc.method == "lmds" and pc.k_neighbors is not None and None not in (self.rows, self.cols):
+        if pc.k_neighbors is not None and None not in (self.rows, self.cols):
             pc.neighbor_count(self.rows * self.cols)
         return pc
 
@@ -180,7 +181,7 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-_WRITE_SLICE = 2**16  # characters of an artifact encoded at a time
+_WRITE_SLICE = 2**16  # characters of an artifact written, or bytes read back, at a time
 
 
 class _Rows(list):
@@ -210,44 +211,47 @@ def _json_default(value):
     return _Rows(value) if value.ndim > 1 else value.tolist()
 
 
-def _json_chunks(payload: dict) -> Iterator[str]:
-    """canonical_json(payload) in the encoder's chunks, the last one its newline.
+def _dump_json(payload: dict, fh: typing.TextIO) -> None:
+    """Write canonical_json(payload) to fh, one encoder chunk at a time.
 
     Payloads hold numpy arrays; this is the one place they become JSON lists,
     one row at a time. Any other object JSON has no form for, such as np.int64
     or a set, still raises TypeError, from the chunk where it would be written.
     """
-    yield from json.JSONEncoder(sort_keys=True, indent=2, default=_json_default).iterencode(payload)
-    yield "\n"
+    json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+    fh.write("\n")
 
 
 def canonical_json(payload: dict) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) plus a newline, numpy arrays as lists.
 
-    The artifacts are not written through this string: _commit streams the
+    The artifacts are not written through this string: _write_json dumps the
     same chunks into the file, so neither the text nor the list form of a
-    payload's arrays is ever held whole. Here the chunks are joined a slice at
-    a time, so the string is held beside its slices, not beside every chunk.
+    payload's arrays is ever held whole.
     """
-    return "".join(_slices(_json_chunks(payload)))
+    text = io.StringIO()
+    _dump_json(payload, text)
+    return text.getvalue()
 
 
-def _write_chunks(path: Path, chunks: Iterable[str]) -> str:
+def _write(path: Path, fill: Callable[[typing.TextIO], None]) -> str:
     """Write atomically: readers see the old file or the new one, never a part.
 
-    The chunks are joined, encoded and hashed about _WRITE_SLICE characters at
-    a time, so neither the whole text nor its encoding is held; returns the
-    sha256. If the chunks raise, the temp file goes and the old file stays.
+    fill(fh) writes the text into a temp file, as UTF-8 with newlines kept as
+    they are. The sha256 returned is read back from the temp file's bytes,
+    _WRITE_SLICE at a time, before it replaces `path`, so a manifest vouches
+    for the bytes on disk. If anything fails, the temp file goes and the old
+    file stays.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            for text in _slices(chunks):
-                data = text.encode("utf-8")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fill(fh)
+        digest = hashlib.sha256()
+        with open(tmp, "rb") as fh:
+            for data in iter(functools.partial(fh.read, _WRITE_SLICE), b""):
                 digest.update(data)
-                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -255,27 +259,16 @@ def _write_chunks(path: Path, chunks: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def _slices(chunks: Iterable[str]) -> Iterator[str]:
-    """The chunks joined into strings of at least _WRITE_SLICE characters, bar the last."""
-    batch, size = [], 0
-    for chunk in chunks:
-        batch.append(chunk)
-        size += len(chunk)
-        if size >= _WRITE_SLICE:
-            yield "".join(batch)
-            batch, size = [], 0
-    yield "".join(batch)
-
-
 def _write_artifact(path: Path, content: str) -> str:
-    """Write a text artifact, such as an SVG, atomically; returns its sha256."""
-    return _write_chunks(path, (content[start:start + _WRITE_SLICE]
-                                for start in range(0, len(content), _WRITE_SLICE)))
+    """Write a text artifact, such as an SVG, atomically, a slice at a time; returns its sha256."""
+    slices = (content[start:start + _WRITE_SLICE]
+              for start in range(0, len(content), _WRITE_SLICE))
+    return _write(path, lambda fh: fh.writelines(slices))
 
 
 def _write_json(path: Path, payload: dict) -> str:
     """Write canonical_json(payload) atomically, one encoder chunk at a time; returns its sha256."""
-    return _write_chunks(path, _json_chunks(payload))
+    return _write(path, functools.partial(_dump_json, payload))
 
 
 def _load_payload(path) -> dict:

@@ -229,29 +229,49 @@ def standardize(data: DataMatrix) -> tuple[DataMatrix, StandardizationParams]:
     to 0 and are recorded with stddev 0; a warning is emitted since they
     carry no information.
 
+    The statistics are taken on each column scaled by the power of two that
+    brings its largest magnitude below 1 (a column already below 1 is left as
+    it is). That scaling is exact in the normal range, so the results are
+    bit for bit the unscaled ones, yet the squares of a column holding 1e200
+    cannot overflow.
+
     Raises
     ------
     ValueError
-        Fewer than 2 rows (sample variance undefined).
+        Fewer than 2 rows (sample variance undefined), or a column whose
+        stddev is beyond the largest float.
     """
     if data.n_rows < 2:
         raise ValueError(f"standardize needs at least 2 rows, got {data.n_rows}")
-    means = data.values.mean(axis=0)
-    stddevs = data.values.std(axis=0, ddof=1)
-    rounding = data.n_rows * np.finfo(float).eps * np.abs(data.values).max(axis=0)
-    constant = stddevs <= rounding
+    peak = np.abs(data.values).max(axis=0)
+    exponents = np.maximum(np.frexp(peak)[1], 0)
+    scaled = np.ldexp(data.values, -exponents)
+    means = scaled.mean(axis=0)
+    stddevs = scaled.std(axis=0, ddof=1)
+    constant = stddevs <= data.n_rows * np.finfo(float).eps * np.ldexp(peak, -exponents)
+    with np.errstate(over="ignore"):
+        params = StandardizationParams(
+            means=np.ldexp(means, exponents),
+            stddevs=np.ldexp(np.where(constant, 0.0, stddevs), exponents),
+        )
+    wide = np.isinf(params.stddevs)
+    if np.any(wide):
+        names = [data.column_names[i] for i in np.flatnonzero(wide)]
+        raise ValueError(f"column(s) {names} spread too wide to standardize: "
+                         "the stddev is beyond the largest float")
     if np.any(constant):
         names = [data.column_names[i] for i in np.flatnonzero(constant)]
         print(f"warning: constant column(s) left unscaled: {names}", file=sys.stderr)
-    stddevs = np.where(constant, 0.0, stddevs)
-    scale = np.where(constant, 1.0, stddevs)
+    scaled -= means
+    scaled /= np.where(constant, 1.0, stddevs)
+    scaled[:, constant] = 0.0
     out = DataMatrix(
-        values=np.where(constant, 0.0, (data.values - means) / scale),
+        values=scaled,
         column_names=list(data.column_names),
         row_labels=list(data.row_labels) if data.row_labels is not None else None,
         class_labels=list(data.class_labels) if data.class_labels is not None else None,
     )
-    return out, StandardizationParams(means=means, stddevs=stddevs)
+    return out, params
 
 
 def bundled_data_path(name: str) -> Path:

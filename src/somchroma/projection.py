@@ -47,9 +47,10 @@ _MAX_HALVINGS = 60
 class ProjectionConfig:
     """Projection method and optimizer controls.
 
-    k_neighbors and repulsion_t apply to the localized method only; left at
-    None they default to max(4, ceil(0.05*M)) capped at M-1, and to 1% of the
-    attraction term at the initial layout, respectively.
+    k_neighbors and repulsion_t apply to the localized method only, and any
+    other method rejects them; left at None they default to max(4,
+    ceil(0.05*M)) capped at M-1, and to 1% of the attraction term at the
+    initial layout, respectively.
     """
 
     method: str = "sammon"
@@ -71,6 +72,10 @@ class ProjectionConfig:
             raise ValueError("tolerance must be positive")
         if self.repulsion_t is not None and not (0 <= self.repulsion_t < math.inf):
             raise ValueError(f"repulsion_t must be finite and nonnegative, got {self.repulsion_t}")
+        if self.method != "lmds":
+            for key in ("k_neighbors", "repulsion_t"):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"{key} applies to the lmds method only, not {self.method}")
 
     def neighbor_count(self, m: int) -> int:
         """The localized method's k for m points: k_neighbors or its default."""

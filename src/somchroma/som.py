@@ -124,8 +124,8 @@ class TrainConfig:
     ) -> tuple[float, ...]:
         """The final sigmas a rows x cols map is trained with, ascending and checked.
 
-        One when sigma_final is set, whatever the candidates. Otherwise the
-        ones to choose from (final sigmas tried with sigma_initial fixed):
+        One when sigma_final is set, which then takes no candidates. Otherwise
+        the ones to choose from (final sigmas tried with sigma_initial fixed):
         `candidates` without repeats, or the defaults up to sigma_initial. A
         grid needs at least 2 units, as goodness, the projection and the
         coloring do, and each final sigma's schedule must be one
@@ -137,6 +137,9 @@ class TrainConfig:
             raise ValueError(f"grid {rows}x{cols} has 1 unit; a map needs at least 2")
         si = self.resolved_initial(rows, cols)
         if self.sigma_final is not None:
+            if candidates is not None:
+                raise ValueError(f"sigma_final {self.sigma_final} is fixed, so sigma_candidates "
+                                 f"{list(candidates)} would never be tried")
             cands = (self.resolved_sigmas(rows, cols)[1],)
         elif candidates is None:
             cands = tuple(s for s in DEFAULT_SIGMA_CANDIDATES if s <= si)
@@ -626,7 +629,8 @@ def select_sigma(
     """Train one SOM per final sigma of config.final_sigmas and keep the best map.
 
     `candidates` are the final sigmas to choose from (the defaults if None);
-    a config that sets sigma_final trains that one alone. Returns the sigma
+    a config that sets sigma_final trains that one alone and takes no
+    candidates. Returns the sigma
     minimizing goodness together with its trained result and its goodness;
     goodness ties within 1e-12 resolve to the smaller sigma. The candidates
     share their first epoch (_train_schedules); each result is bit for bit

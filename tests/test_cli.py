@@ -80,6 +80,14 @@ def test_stage_composition_matches_pipeline(pipeline_dir, tmp_path, iris_path):
         assert cli.main(step) == 0, step[0]
     for name in ARTIFACTS:
         assert (d / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+    # each stage's manifest vouches for the bytes of the files it wrote
+    manifests = sorted(p.name for p in d.glob("*.manifest.json"))
+    assert manifests == sorted(f"{name}.manifest.json" for name in
+                               ["standardized.json", "grid.json", "embedding.json",
+                                "colors.json", "som.svg"])
+    for manifest in manifests:
+        for name, checksum in json.loads((d / manifest).read_text())["artifacts"].items():
+            assert hashlib.sha256((d / name).read_bytes()).hexdigest() == checksum, name
 
 
 def test_canonical_json_is_json_dumps_with_a_newline(tmp_path):
@@ -385,9 +393,13 @@ def file_bytes(directory):
     ({"background": "#-1-1-1"}, "render"),
     ({"method": "lmds", "k_neighbors": 0}, "project"),
     ({"method": "lmds", "k_neighbors": 9}, "project"),
+    ({"method": "sammon", "k_neighbors": 7}, "project"),
+    ({"method": "mds", "repulsion_t": 0.5}, "project"),
+    ({"sigma_final": 1.0, "sigma_candidates": [0.4, 0.7]}, "train"),
 ], ids=["plane", "tolerance", "shape", "epochs", "grid-0x3", "grid-1x1",
         "sigma-final-above-initial", "sigma-candidate-above-initial", "sigma-candidates-empty",
-        "background-signed", "lmds-k-0", "lmds-k-all-units"])
+        "background-signed", "lmds-k-0", "lmds-k-all-units", "sammon-k", "mds-repulsion",
+        "sigma-final-with-candidates"])
 def test_bad_setting_fails_before_any_write(tmp_path, iris_path, capsys, setting, stage,
                                             earlier_run):
     out = tmp_path / "out"
@@ -781,3 +793,31 @@ def test_custom_plane_rejected_when_out_of_gamut(tmp_path, iris_path, capsys):
     assert cli.main(["pipeline", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert "leaves the displayable gamut" in err and "(u, v)" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_ingest_standardizes_columns_whose_squares_overflow(tmp_path, capsys):
+    # 1e300 and 1e200 square to inf, so only scaled statistics keep these
+    # columns from an infinite stddev, written as the non-JSON token Infinity
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((200, 3))
+    values[0, 0], values[1, 1] = 1e300, 1e200
+    csv = tmp_path / "big.csv"
+    csv.write_text("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    out = tmp_path / "standardized.json"
+    assert cli.main(["ingest", "--input", str(csv), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    stddevs = np.array(payload["stddevs"])
+    assert np.allclose(stddevs[:2], [1e300, 1e200] / np.sqrt(200), rtol=1e-12)
+    std = np.array(payload["values"])
+    assert np.allclose(std.std(axis=0, ddof=1), 1.0)
+    assert std[0, 0] > 14 and std[1, 1] > 14
+    # a stddev beyond the largest float is named, and nothing is written
+    csv.write_text("a,wide\n1,1.7e308\n2,-1.7e308\n")
+    assert cli.main(["ingest", "--input", str(csv), "--out", str(tmp_path / "w.json")]) == 1
+    assert ("error in stage ingest: column(s) ['wide'] spread too wide to standardize"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "w.json").exists()

@@ -424,8 +424,15 @@ def test_project_stress_equals_public_stress_bitwise(method):
     pytest.param("repulsion_t", float("inf"), id="repulsion_t-inf"),
 ])
 def test_projection_config_rejects_nan(name, value):
-    with pytest.raises(ValueError, match=name):
-        ProjectionConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        ProjectionConfig(method="lmds", **{name: value})
+
+
+@pytest.mark.parametrize("method", ["metric_mds", "sammon"])
+@pytest.mark.parametrize("key, value", [("k_neighbors", 7), ("repulsion_t", 0.5)])
+def test_projection_config_rejects_lmds_settings_for_other_methods(method, key, value):
+    with pytest.raises(ValueError, match=f"^{key} applies to the lmds method only, not {method}$"):
+        ProjectionConfig(method=method, **{key: value})
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -1012,9 +1012,8 @@ def test_select_sigma_rejects_out_of_range_candidate(iris_std):
 
 def test_select_sigma_trains_only_a_set_sigma_final(iris_std, monkeypatch):
     calls = spy_on_training(monkeypatch)
-    sigma, result, g = select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, sigma_final=0.9),
-                                    (0.4, 0.7))
-    # sigma_final wins: the candidates would have added updates at 0.4 and 0.7
+    sigma, result, g = select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, sigma_final=0.9))
+    # the default candidates would have added updates at 0.4, 0.7, 1.0 and 1.5
     assert [s for s, _ in calls["updates"]] == [1.5, 0.9]
     assert sigma == 0.9 and result.sigmas == (1.5, 0.9)
     assert g == goodness(result.grid, iris_std)
@@ -1111,12 +1110,11 @@ def test_select_sigma_trains_a_repeated_candidate_once(iris_std, monkeypatch):
 
 @pytest.mark.parametrize("config, rows, cols, candidates, expected", [
     (TrainConfig(sigma_final=0.9), 3, 3, None, (0.9,)),
-    (TrainConfig(sigma_final=0.9), 3, 3, (0.4, 0.7), (0.9,)),
     (TrainConfig(), 3, 3, None, (0.4, 0.7, 1.0, 1.5)),
     (TrainConfig(), 6, 7, None, som.DEFAULT_SIGMA_CANDIDATES),
     (TrainConfig(), 3, 3, (1.1, 0.5, 0.8), (0.5, 0.8, 1.1)),
     (TrainConfig(), 3, 3, (0.8, 0.5, 0.8, 0.5, 0.5), (0.5, 0.8)),
-], ids=["fixed", "fixed-over-candidates", "defaults-up-to-initial", "all-defaults",
+], ids=["fixed", "defaults-up-to-initial", "all-defaults",
         "candidates-ascending", "candidates-without-repeats"])
 def test_final_sigmas(config, rows, cols, candidates, expected):
     assert config.final_sigmas(rows, cols, candidates) == expected
@@ -1138,9 +1136,12 @@ def test_final_sigmas(config, rows, cols, candidates, expected):
     (dict(), 1, 1, None, "grid 1x1 has 1 unit; a map needs at least 2"),
     (dict(sigma_initial=3.0), 1, 1, (0.4, 0.7), "grid 1x1 has 1"),
     (dict(sigma_final=0.5), 1, 1, None, "grid 1x1 has 1 unit"),
+    (dict(sigma_final=0.9), 3, 3, (0.4, 0.7),
+     r"sigma_final 0.9 is fixed, so sigma_candidates \[0.4, 0.7\] would never be tried"),
 ], ids=["empty", "out-of-range", "zero", "no-default-fits", "final-above-initial",
         "initial-negative", "initial-nan", "final-negative", "final-zero", "final-nan",
-        "grid-0x3", "grid-3x0", "one-unit", "one-unit-over-candidates", "one-unit-fixed"])
+        "grid-0x3", "grid-3x0", "one-unit", "one-unit-over-candidates", "one-unit-fixed",
+        "fixed-over-candidates"])
 def test_final_sigmas_rejects(settings, rows, cols, candidates, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**settings).final_sigmas(rows, cols, candidates)
