@@ -38,10 +38,7 @@ _METHOD_ALIASES = {"mds": "metric_mds", "metric_mds": "metric_mds", "sammon": "s
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"error in stage {stage}: {cause}")
-        self.stage = stage
-        self.cause = cause
+    """A stage's failure; the message names the stage, and the cause is chained."""
 
 
 @dataclass(frozen=True)
@@ -486,10 +483,8 @@ def _dest(flag: str) -> str:
 def _run(stage: str, fn, *args):
     try:
         return fn(*args)
-    except StageError:
-        raise
     except Exception as exc:
-        raise StageError(stage, exc) from exc
+        raise StageError(f"error in stage {stage}: {exc}") from exc
 
 
 def _run_stage(stage: Stage, inputs: list, cfg: PipelineConfig) -> tuple:

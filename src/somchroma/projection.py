@@ -67,6 +67,8 @@ class ProjectionConfig:
             raise ValueError("max_iterations must be positive")
         if self.k_neighbors is not None and self.k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # negated comparisons, so that NaN fails too
         if not (self.tolerance > 0):
             raise ValueError("tolerance must be positive")

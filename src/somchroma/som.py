@@ -103,6 +103,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("sigma_initial", "sigma_final"):
             sigma = getattr(self, name)
             if sigma is not None and not (sigma > 0):  # negated, so that NaN fails too
@@ -220,11 +222,9 @@ def init_grid(rows: int, cols: int, data: DataMatrix, seed: int = 0) -> SomGrid:
 
     t_col = np.zeros(cols) if cols == 1 else 2.0 * np.arange(cols) / (cols - 1) - 1.0
     t_row = np.zeros(rows) if rows == 1 else 2.0 * np.arange(rows) / (rows - 1) - 1.0
+    r, c = np.divmod(np.arange(m), cols)  # unit order of hex_positions
     # longer grid dimension follows the first (largest-variance) component
-    if rows > cols:
-        t1, t2 = t_row[:, None].repeat(cols, 1).ravel(), np.tile(t_col, rows)
-    else:
-        t1, t2 = np.tile(t_col, rows), t_row[:, None].repeat(cols, 1).ravel()
+    t1, t2 = (t_row[r], t_col[c]) if rows > cols else (t_col[c], t_row[r])
     vectors = (
         mean[None, :]
         + np.outer(t1 * spans[0], axes[0])
@@ -500,8 +500,9 @@ def _train_schedules(
     it: that prefix is trained once. Each schedule then goes on alone; each
     later epoch is one _update, then one _nearest search, whose squared
     distances also give the quantization error. The rows are split into
-    levels once, for every update. Every result is the one a separate run of
-    its schedule gives, bit for bit.
+    levels twice: inside the shared first epoch's batch_epoch, and once more
+    for every later update. Every result is the one a separate run of its
+    schedule gives, bit for bit.
     """
     si = config.resolved_initial(rows, cols)
     schedules = [sigma_schedule(si, sf, config.epochs) for sf in finals]
@@ -536,25 +537,18 @@ def quantization_error(grid: SomGrid, data: DataMatrix) -> float:
 def _neighbor_table(grid: SomGrid) -> tuple[np.ndarray, np.ndarray]:
     """Each unit's lattice neighbors and the reference-vector distances to them.
 
-    Returns two M x 6 arrays; a missing neighbor is the unit itself at weight
-    inf. Row r + 1 sits half a unit right of row r when r is even and half a
-    unit left when r is odd (see hex_positions), so unit (r, c) touches
-    (r, c + 1) and columns c + r % 2 - 1 and c + r % 2 of row r + 1. Slots
-    0-2 hold those edges and slots 3-5 the same edges seen from their far end.
+    Neighbors are the units at planar distance 1; any other two units are at
+    least sqrt(3) apart. Returns two M x 6 arrays, neighbors in unit order; a
+    missing neighbor is the unit itself at weight inf.
     """
-    rows, cols, m = grid.rows, grid.cols, grid.m
-    r, c = np.divmod(np.arange(m), cols)
-    left = c + r % 2 - 1
-    next_r = np.column_stack([r, r + 1, r + 1])
-    next_c = np.column_stack([c + 1, left, left + 1])
-    i, k = np.nonzero((next_r < rows) & (next_c >= 0) & (next_c < cols))
-    j = next_r[i, k] * cols + next_c[i, k]
+    m = grid.m
+    i, j = np.nonzero(np.abs(_planar_squared_distances(grid.rows, grid.cols) - 1.0) < 0.5)
+    slot = np.arange(len(i)) - np.searchsorted(i, i)  # position within unit i's row
     vec = grid.reference_vectors
-    w = np.linalg.norm(vec[i] - vec[j], axis=1)
     neighbors = np.repeat(np.arange(m)[:, None], 6, axis=1)
     weights = np.full((m, 6), np.inf)
-    neighbors[i, k], weights[i, k] = j, w
-    neighbors[j, k + 3], weights[j, k + 3] = i, w
+    neighbors[i, slot] = j
+    weights[i, slot] = np.linalg.norm(vec[i] - vec[j], axis=1)
     return neighbors, weights
 
 
@@ -642,10 +636,7 @@ def select_sigma(
         for sf, result in zip(finals, _train_schedules(data, rows, cols, config, finals))
     ]
     best_g = min(g for _, _, g in results)
-    for sf, result, g in results:  # ascending sigma: first within tolerance wins
-        if g <= best_g + 1e-12:
-            return sf, result, g
-    raise AssertionError("unreachable")
+    return next(r for r in results if r[2] <= best_g + 1e-12)  # ascending: smallest sigma wins
 
 
 def grid_to_dict(grid: SomGrid, training_metadata: dict) -> dict:

@@ -396,10 +396,11 @@ def file_bytes(directory):
     ({"method": "sammon", "k_neighbors": 7}, "project"),
     ({"method": "mds", "repulsion_t": 0.5}, "project"),
     ({"sigma_final": 1.0, "sigma_candidates": [0.4, 0.7]}, "train"),
+    ({"seed": -1}, "train"),
 ], ids=["plane", "tolerance", "shape", "epochs", "grid-0x3", "grid-1x1",
         "sigma-final-above-initial", "sigma-candidate-above-initial", "sigma-candidates-empty",
         "background-signed", "lmds-k-0", "lmds-k-all-units", "sammon-k", "mds-repulsion",
-        "sigma-final-with-candidates"])
+        "sigma-final-with-candidates", "negative-seed"])
 def test_bad_setting_fails_before_any_write(tmp_path, iris_path, capsys, setting, stage,
                                             earlier_run):
     out = tmp_path / "out"

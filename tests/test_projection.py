@@ -441,6 +441,11 @@ def test_projection_config_rejects_k_below_one(k):
         ProjectionConfig(method="lmds", k_neighbors=k)
 
 
+def test_projection_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        ProjectionConfig(seed=-1)
+
+
 @pytest.mark.parametrize("m, k", [(2, 1), (42, 4), (225, 12)])
 def test_neighbor_count_default(m, k):
     # max(4, ceil(0.05 M)) capped at M - 1

@@ -87,6 +87,52 @@ def test_hex_positions_neighbor_distance(rows, cols):
     assert np.all(np.abs(dists[adjacent] - 1.0) <= 1e-12)
 
 
+def offset_rule_neighbor_table(grid):
+    """Oracle: the neighbor table written out from hex_positions' offset rule.
+
+    Row r + 1 sits half a unit right of row r when r is even and half a unit
+    left when r is odd, so unit (r, c) touches (r, c + 1) and columns
+    c + r % 2 - 1 and c + r % 2 of row r + 1. Slots 0-2 hold those edges and
+    slots 3-5 the same edges seen from their far end.
+    """
+    rows, cols, m = grid.rows, grid.cols, grid.m
+    r, c = np.divmod(np.arange(m), cols)
+    left = c + r % 2 - 1
+    next_r = np.column_stack([r, r + 1, r + 1])
+    next_c = np.column_stack([c + 1, left, left + 1])
+    i, k = np.nonzero((next_r < rows) & (next_c >= 0) & (next_c < cols))
+    j = next_r[i, k] * cols + next_c[i, k]
+    vec = grid.reference_vectors
+    w = np.linalg.norm(vec[i] - vec[j], axis=1)
+    neighbors = np.repeat(np.arange(m)[:, None], 6, axis=1)
+    weights = np.full((m, 6), np.inf)
+    neighbors[i, k], weights[i, k] = j, w
+    neighbors[j, k + 3], weights[j, k + 3] = i, w
+    return neighbors, weights
+
+
+def neighbor_edges(neighbors, weights):
+    """A table's (unit, neighbor, weight bits) entries other than padding, sorted."""
+    u, slot = np.nonzero(neighbors != np.arange(len(neighbors))[:, None])
+    v = neighbors[u, slot]
+    order = np.lexsort((v, u))
+    return u[order], v[order], weights[u, slot][order].view(np.uint64)
+
+
+def test_neighbor_table_is_the_offset_rules_bitwise():
+    rng = np.random.default_rng(41)
+    shapes = [(r, c) for r in range(1, 13) for c in range(1, 13)] + [(1, 30), (30, 1)]
+    for rows, cols in shapes:
+        for dim in (3, 16):
+            grid = SomGrid(rows, cols, rng.standard_normal((rows * cols, dim)))
+            neighbors, weights = som._neighbor_table(grid)
+            assert neighbors.shape == weights.shape == (grid.m, 6)
+            got = neighbor_edges(neighbors, weights)
+            expected = neighbor_edges(*offset_rule_neighbor_table(grid))
+            assert all(map(np.array_equal, got, expected)), (rows, cols, dim)
+            assert np.all(weights[neighbors == np.arange(grid.m)[:, None]] == np.inf)
+
+
 def test_grid_holds_only_its_shape_and_vectors():
     grid = SomGrid(3, 4, np.zeros((12, 2)))
     assert [f.name for f in dataclasses.fields(grid)] == ["rows", "cols", "reference_vectors"]
@@ -1138,10 +1184,11 @@ def test_final_sigmas(config, rows, cols, candidates, expected):
     (dict(sigma_final=0.5), 1, 1, None, "grid 1x1 has 1 unit"),
     (dict(sigma_final=0.9), 3, 3, (0.4, 0.7),
      r"sigma_final 0.9 is fixed, so sigma_candidates \[0.4, 0.7\] would never be tried"),
+    (dict(seed=-1), 3, 3, None, "^seed must be >= 0, got -1$"),
 ], ids=["empty", "out-of-range", "zero", "no-default-fits", "final-above-initial",
         "initial-negative", "initial-nan", "final-negative", "final-zero", "final-nan",
         "grid-0x3", "grid-3x0", "one-unit", "one-unit-over-candidates", "one-unit-fixed",
-        "fixed-over-candidates"])
+        "fixed-over-candidates", "seed-negative"])
 def test_final_sigmas_rejects(settings, rows, cols, candidates, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**settings).final_sigmas(rows, cols, candidates)
