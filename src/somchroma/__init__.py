@@ -3,8 +3,6 @@ perceptually uniform CIELAB cluster coloring rendered as SVG."""
 
 from .colorspace import (
     ColorPlane,
-    LabColor,
-    RgbColor,
     builtin_planes,
     colorize,
     hex_colors,

@@ -473,8 +473,13 @@ STAGES = (
 
 
 def _dest(flag: str) -> str:
-    """The argparse dest of an artifact flag; `in` is a keyword, so --in is stored as in_path."""
-    return "in_path" if flag == "--in" else flag[2:].replace("-", "_")
+    """The argparse dest of an artifact flag: --in-grid is in_grid_path, --out is out_path.
+
+    The suffix keeps each path apart from the config field of the same name
+    (a stage's --out file is not the pipeline's `out` directory), and from the
+    keyword `in`.
+    """
+    return flag[2:].replace("-", "_") + "_path"
 
 
 # ----------------------------------------------------------------------------
@@ -583,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add(p, _PLANE_OPTIONS + _SIZE_OPTIONS)
     p.add_argument("--steps-u", type=int, default=21)
     p.add_argument("--steps-v", type=int, default=7)
-    p.add_argument("--out", default=None, help="swatch SVG path")
+    p.add_argument("--out", dest="out_path", default=None, help="swatch SVG path")
 
     return parser
 
@@ -607,6 +612,15 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _check_distinct(paths: dict[str, Path]) -> None:
+    """Reject two output flags naming one file: the later write would replace the earlier."""
+    seen: dict[Path, str] = {}
+    for flag, path in paths.items():
+        other = seen.setdefault(path.resolve(), flag)
+        if other != flag:
+            raise ValueError(f"{other} and {flag} both name {path}; give each output its own file")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -617,13 +631,14 @@ def main(argv=None) -> int:
         if args.command == "swatch":
             svg = _run("swatch", lambda: render.render_plane_swatch_svg(
                 cfg.color_plane, args.steps_u, args.steps_v, cfg.render_spec))
-            outputs = {Path(args.out or "swatch.svg"): svg}
+            outputs = {Path(args.out_path or "swatch.svg"): svg}
         else:
             stage = {s.name: s for s in STAGES}[args.command]
+            paths = {flag: Path(getattr(args, _dest(flag)) or name) for flag, name, _ in stage.writes}
+            _check_distinct(paths)
             inputs = [_load_payload(getattr(args, _dest(flag))) for flag, _ in stage.reads]
             results = _run_stage(stage, inputs, cfg)
-            outputs = {Path(getattr(args, _dest(flag)) or name): result
-                       for (flag, name, _), result in zip(stage.writes, results)}
+            outputs = dict(zip(paths.values(), results))
         first = next(iter(outputs))
         _commit(first.with_name(first.name + ".manifest.json"), cfg, outputs)
         return 0

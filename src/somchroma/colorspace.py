@@ -2,8 +2,10 @@
 
 A color plane maps the unit square to (L*, a*, b*): the u axis sweeps a line
 in the a*b* plane (hue) and the v axis sweeps lightness. Because the plane
-lives inside CIELAB, Euclidean distance between any two of its colors is
-exactly the perceptual difference Delta-E*ab.
+lives inside CIELAB, Euclidean distance between any two of its Lab colors is
+exactly the perceptual difference Delta-E*ab; between displayed colors, only
+where no sRGB channel was clamped. A color is an array whose last axis holds
+(L*, a*, b*) or (R, G, B): the functions take (..., 3) arrays, one color or many.
 
 Display conversion is CIELAB -> XYZ (D65) -> linear RGB (sRGB primaries) ->
 sRGB gamma encoding. The reference white is taken as the XYZ of RGB(1,1,1)
@@ -12,16 +14,12 @@ under the sRGB matrix, which makes L*=100 map to exact display white.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "LabColor",
-    "RgbColor",
     "ColorPlane",
     "builtin_planes",
     "get_plane",
@@ -34,7 +32,6 @@ __all__ = [
     "colorize",
     "delta_e",
     "hex_colors",
-    "rgb_to_hex",
     "hex_to_rgb",
     "check_plane_gamut",
     "GAMUT_TOLERANCE",
@@ -57,18 +54,6 @@ REFERENCE_WHITE = _M_RGB_TO_XYZ @ np.ones(3)
 
 GAMUT_TOLERANCE = 0.002
 GAMUT_SWEEP_STEPS = 101
-
-
-class LabColor(NamedTuple):
-    L: float
-    a: float
-    b: float
-
-
-class RgbColor(NamedTuple):
-    r: float
-    g: float
-    b: float
 
 
 @dataclass(frozen=True)
@@ -156,12 +141,14 @@ def _plane_lab(plane: ColorPlane, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([L, a, b], axis=-1)
 
 
-def plane_color(plane: ColorPlane, u: float, v: float) -> LabColor:
-    """Lab color at (u, v): u drives hue (the a*b* line), v drives lightness."""
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-        raise ValueError(f"(u, v) must lie in the unit square, got ({u}, {v})")
-    lab = _plane_lab(plane, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    return LabColor(float(lab[..., 0]), float(lab[..., 1]), float(lab[..., 2]))
+def plane_color(plane: ColorPlane, u, v) -> np.ndarray:
+    """Lab colors at (u, v), one per broadcast element: u drives hue (the a*b* line), v lightness."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    outside = ~((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0))  # NaN is outside
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise ValueError(f"(u, v) must lie in the unit square, got ({u.flat[bad]}, {v.flat[bad]})")
+    return _plane_lab(plane, u, v)
 
 
 def _lab_to_xyz(lab: np.ndarray) -> np.ndarray:
@@ -205,40 +192,44 @@ def _gamma_decode(encoded: np.ndarray) -> np.ndarray:
 
 
 def _lab_to_encoded_rgb(lab: np.ndarray) -> np.ndarray:
-    """Gamma-encoded sRGB channels before any clamping."""
-    xyz = _lab_to_xyz(np.asarray(lab, dtype=float))
-    linear = np.einsum("ij,...j->...i", _M_XYZ_TO_RGB, xyz)
-    return _gamma_encode(linear)
+    """Gamma-encoded sRGB channels before any clamping, on rows whatever the shape.
 
-
-def lab_to_srgb(c: LabColor) -> RgbColor:
-    """Display encoding of a Lab color; out-of-gamut channels are clamped.
-
-    Gamut status is queryable separately via in_gamut.
+    A lone color's channels would be numpy scalars, whose powers round apart
+    from the array loops; as a row it gets the bits colorize gives it.
     """
-    enc = np.clip(_lab_to_encoded_rgb(np.array([c], dtype=float)), 0.0, 1.0)
-    return RgbColor(*enc[0].tolist())
+    lab = np.asarray(lab, dtype=float)
+    linear = np.einsum("ij,...j->...i", _M_XYZ_TO_RGB, _lab_to_xyz(lab.reshape(-1, 3)))
+    return _gamma_encode(linear).reshape(lab.shape)
 
 
-def srgb_to_lab(c: RgbColor) -> LabColor:
-    """Inverse display conversion (sRGB in [0,1] per channel)."""
-    linear = _gamma_decode(np.array([c.r, c.g, c.b], dtype=float))
-    xyz = _M_RGB_TO_XYZ @ linear
-    lab = _xyz_to_lab(xyz)
-    return LabColor(float(lab[0]), float(lab[1]), float(lab[2]))
+def lab_to_srgb(lab) -> np.ndarray:
+    """Display encoding of Lab colors, each channel clamped into [0, 1]; in_gamut tells if it was."""
+    return np.clip(_lab_to_encoded_rgb(lab), 0.0, 1.0)
 
 
-def in_gamut(c: LabColor, tolerance: float = GAMUT_TOLERANCE) -> bool:
-    """True when all pre-clamp encoded channels lie in [-tolerance, 1+tolerance]."""
+def srgb_to_lab(rgb) -> np.ndarray:
+    """Inverse display conversion (sRGB channels in [0, 1])."""
+    linear = _gamma_decode(np.asarray(rgb, dtype=float))
+    return _xyz_to_lab((_M_RGB_TO_XYZ @ linear[..., None])[..., 0])
+
+
+def _gamut_excess(lab) -> np.ndarray:
+    """How far each color's worst pre-clamp encoded channel lies outside [0, 1]; <= 0 inside."""
+    enc = _lab_to_encoded_rgb(lab)
+    return np.maximum(-enc, enc - 1.0).max(axis=-1)
+
+
+def in_gamut(lab, tolerance: float = GAMUT_TOLERANCE) -> np.ndarray:
+    """True for each color whose gamut excess is at most tolerance."""
     if tolerance < 0:
         raise ValueError("tolerance must be nonnegative")
-    enc = _lab_to_encoded_rgb(np.array([c], dtype=float))
-    return bool(np.all(enc >= -tolerance) and np.all(enc <= 1.0 + tolerance))
+    return _gamut_excess(lab) <= tolerance
 
 
-def delta_e(c1: LabColor, c2: LabColor) -> float:
+def delta_e(lab1, lab2) -> np.ndarray:
     """CIE 1976 color difference (Euclidean distance in Lab)."""
-    return math.sqrt((c1.L - c2.L) ** 2 + (c1.a - c2.a) ** 2 + (c1.b - c2.b) ** 2)
+    d = np.asarray(lab1, dtype=float) - np.asarray(lab2, dtype=float)
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
 
 
 def colorize(embedding: np.ndarray, plane: ColorPlane) -> np.ndarray:
@@ -256,8 +247,7 @@ def colorize(embedding: np.ndarray, plane: ColorPlane) -> np.ndarray:
         raise ValueError(
             f"embedding coordinate outside the unit square at row {bad[0]}, dim {bad[1]}"
         )
-    lab = _plane_lab(plane, pts[:, 0], pts[:, 1])
-    return np.clip(_lab_to_encoded_rgb(lab), 0.0, 1.0)
+    return lab_to_srgb(_plane_lab(plane, pts[:, 0], pts[:, 1]))
 
 
 def hex_colors(rgb: np.ndarray) -> list[str]:
@@ -266,22 +256,19 @@ def hex_colors(rgb: np.ndarray) -> list[str]:
         raise ValueError(f"colors must be an Mx3 array, got {getattr(rgb, 'shape', type(rgb).__name__)}")
     if not np.isfinite(rgb).all():
         raise ValueError("colors must be finite")
-    channels = np.minimum(255, (rgb * 255.0 + 0.5).astype(np.int64))  # truncates as int() does
+    bad = np.flatnonzero(((rgb < 0.0) | (rgb > 1.0)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"channels must lie in [0, 1]; row {bad[0]} is {rgb[bad[0]].tolist()}")
+    channels = (rgb * 255.0 + 0.5).astype(np.int64)  # truncates as int() does
     return [f"#{r:02X}{g:02X}{b:02X}" for r, g, b in channels.tolist()]
 
 
-def rgb_to_hex(c: RgbColor) -> str:
-    """#RRGGBB with channels rounded half-up from [0,1]."""
-    return hex_colors(np.array([c], dtype=float))[0]
-
-
-def hex_to_rgb(text: str) -> RgbColor:
-    """Parse #RRGGBB (exactly '#' and six ASCII hex digits) into channels in [0, 1]."""
+def hex_to_rgb(text: str) -> np.ndarray:
+    """Parse #RRGGBB (exactly '#' and six ASCII hex digits) into three channels in [0, 1]."""
     # int(..., 16) alone would also take signs, spaces and non-ASCII digits
     if not (isinstance(text, str) and re.fullmatch("#[0-9A-Fa-f]{6}", text)):
         raise ValueError(f"expected a #RRGGBB color, got {text!r}")
-    r, g, b = (int(text[i:i + 2], 16) for i in (1, 3, 5))
-    return RgbColor(r / 255.0, g / 255.0, b / 255.0)
+    return np.array([int(text[i:i + 2], 16) for i in (1, 3, 5)]) / 255.0
 
 
 def check_plane_gamut(
@@ -294,12 +281,9 @@ def check_plane_gamut(
     Returns (ok, worst (u, v), worst excess beyond [0, 1]). Used to vet
     custom planes from config before they are accepted.
     """
-    u = np.linspace(0.0, 1.0, steps)
-    v = np.linspace(0.0, 1.0, steps)
+    u = v = np.linspace(0.0, 1.0, steps)
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    enc = _lab_to_encoded_rgb(_plane_lab(plane, uu, vv))
-    excess = np.maximum(-enc, enc - 1.0).max(axis=-1)
-    worst_flat = int(np.argmax(excess))
-    i, j = np.unravel_index(worst_flat, excess.shape)
+    excess = _gamut_excess(_plane_lab(plane, uu, vv))
+    i, j = np.unravel_index(np.argmax(excess), excess.shape)
     worst = float(excess[i, j])
     return worst <= tolerance, (float(u[i]), float(v[j])), worst

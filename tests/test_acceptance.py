@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 """
 
 import json
-import math
 import time
 from collections import Counter
 
@@ -14,14 +13,14 @@ import pytest
 from somchroma import cli, som
 from somchroma.cli import _data_from_payload
 from somchroma.colorspace import (
-    LabColor,
+    _gamut_excess,
     builtin_planes,
     delta_e,
     get_plane,
+    hex_colors,
     in_gamut,
     lab_to_srgb,
     plane_color,
-    rgb_to_hex,
     srgb_to_lab,
 )
 from somchroma.dataset import DataMatrix
@@ -180,21 +179,16 @@ def test_criterion_04_lloyd_reduction():
 
 def test_criterion_05_builtin_plane_gamut_sweep():
     grid01 = np.linspace(0.0, 1.0, 101)
+    uu, vv = np.meshgrid(grid01, grid01, indexing="ij")
     worst_excess = -np.inf
     worst_where = None
-    ok = True
     for plane in builtin_planes():
-        for u in grid01:
-            for v in grid01:
-                if not in_gamut(plane_color(plane, float(u), float(v)), 0.002):
-                    ok = False
-                    from somchroma.colorspace import _lab_to_encoded_rgb  # worst-case detail
-                    c = plane_color(plane, float(u), float(v))
-                    enc = _lab_to_encoded_rgb(np.array([c.L, c.a, c.b]))
-                    excess = float(np.maximum(-enc, enc - 1.0).max())
-                    if excess > worst_excess:
-                        worst_excess = excess
-                        worst_where = f"{plane.name} (u={u:.2f}, v={v:.2f})"
+        excess = _gamut_excess(plane_color(plane, uu, vv))  # 101 x 101, indexed [u, v]
+        i, j = np.unravel_index(np.argmax(excess), excess.shape)
+        if excess[i, j] > worst_excess:
+            worst_excess = float(excess[i, j])
+            worst_where = f"{plane.name} (u={grid01[i]:.2f}, v={grid01[j]:.2f})"
+    ok = worst_excess <= 0.002
     detail = "all 2x101x101 samples displayable (tol 0.002)"
     if not ok:
         detail = (
@@ -207,12 +201,11 @@ def test_criterion_05_builtin_plane_gamut_sweep():
 def test_criterion_06_color_anchors():
     gyr = get_plane("green-yellow-red")
     cgr = get_plane("cyan-gray-red")
-    ok = True
-    for v in np.linspace(0.0, 1.0, 21):
-        c = plane_color(gyr, 0.5, float(v))
-        ok = ok and c.a == 0.0 and c.b == 40.0
-        c = plane_color(cgr, 0.5, float(v))
-        ok = ok and math.hypot(c.a, c.b) == 0.0
+    v = np.linspace(0.0, 1.0, 21)
+    g = plane_color(gyr, 0.5, v)
+    c = plane_color(cgr, 0.5, v)
+    ok = bool(np.all(g[:, 1] == 0.0) and np.all(g[:, 2] == 40.0)
+              and np.all(np.hypot(c[:, 1], c[:, 2]) == 0.0))
     _report(6, "color-anchors", ok, "a=0,b=40 mid-hue; zero chroma midline (exact)")
 
 
@@ -221,13 +214,12 @@ def test_criterion_07_lab_srgb_roundtrip():
     worst = 0.0
     checked = 0
     while checked < 1000:
-        lab = LabColor(rng.uniform(0, 100), rng.uniform(-128, 128), rng.uniform(-128, 128))
+        lab = np.array([rng.uniform(0, 100), rng.uniform(-128, 128), rng.uniform(-128, 128)])
         if not in_gamut(lab, 0.0):
             continue
-        worst = max(worst, delta_e(lab, srgb_to_lab(lab_to_srgb(lab))))
+        worst = max(worst, float(delta_e(lab, srgb_to_lab(lab_to_srgb(lab)))))
         checked += 1
-    white = rgb_to_hex(lab_to_srgb(LabColor(100.0, 0.0, 0.0)))
-    black = rgb_to_hex(lab_to_srgb(LabColor(0.0, 0.0, 0.0)))
+    white, black = hex_colors(lab_to_srgb([[100.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     ok = worst < 0.01 and white == "#FFFFFF" and black == "#000000"
     _report(
         7, "lab-srgb-roundtrip", ok,

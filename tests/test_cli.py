@@ -248,6 +248,31 @@ def test_schema_mismatch_reported(stage_inputs, tmp_path, capsys, command, name,
     assert f"error in stage {command}: schema version mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "project", "color", "render", "swatch"])
+def test_a_stage_output_path_leaves_the_config_out_alone(stage_inputs, tmp_path, command):
+    # the manifest's config is re-runnable; its `out` is the pipeline's directory
+    argv = (["swatch", "--out", str(tmp_path / "swatch.svg")] if command == "swatch"
+            else stage_argv(command, stage_inputs, tmp_path))
+    assert cli.main(argv) == 0
+    (manifest,) = tmp_path.glob("*.manifest.json")
+    assert json.loads(manifest.read_text())["config"]["out"] == "."
+
+
+@pytest.mark.parametrize("som_name, scatter_name", [
+    ("same.svg", "same.svg"), ("same.svg", "./same.svg"), ("sub/../same.svg", "same.svg"),
+])
+def test_render_rejects_two_outputs_naming_one_file(stage_inputs, tmp_path, capsys, monkeypatch,
+                                                    som_name, scatter_name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "stage_render", lambda *args: pytest.fail("stage render ran"))
+    argv = stage_argv("render", stage_inputs, tmp_path)
+    argv[argv.index("--out-som") + 1] = som_name
+    argv[argv.index("--out-scatter") + 1] = scatter_name
+    assert cli.main(argv) == 1
+    assert "--out-som and --out-scatter both name" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _set_first_rgb(value):
     def edit(payload):
         payload["rgb"][0] = value

@@ -5,8 +5,7 @@ import pytest
 
 from somchroma.colorspace import (
     ColorPlane,
-    LabColor,
-    RgbColor,
+    _gamut_excess,
     builtin_planes,
     check_plane_gamut,
     colorize,
@@ -18,7 +17,6 @@ from somchroma.colorspace import (
     lab_to_srgb,
     plane_color,
     plane_from_dict,
-    rgb_to_hex,
     srgb_to_lab,
 )
 
@@ -69,17 +67,17 @@ def test_builtin_planes_are_the_two_published_scales():
 def test_builtin_plane_anchor_points():
     gyr = get_plane("green-yellow-red")
     cgr = get_plane("cyan-gray-red")
-    assert plane_color(gyr, 0.5, 1.0) == LabColor(80.0, 0.0, 40.0)
-    assert plane_color(cgr, 0.5, 0.5) == LabColor(50.0, 0.0, 0.0)
-    assert plane_color(cgr, 0.0, 0.0) == LabColor(20.0, -45.0, -45.0)
+    assert plane_color(gyr, 0.5, 1.0).tolist() == [80.0, 0.0, 40.0]
+    assert plane_color(cgr, 0.5, 0.5).tolist() == [50.0, 0.0, 0.0]
+    assert plane_color(cgr, 0.0, 0.0).tolist() == [20.0, -45.0, -45.0]
 
 
 def test_plane_color_endpoints_and_interpolation():
     gyr = get_plane("green-yellow-red")
-    assert plane_color(gyr, 0.0, 0.0) == LabColor(20.0, -60.0, 40.0)
-    assert plane_color(gyr, 1.0, 1.0) == LabColor(80.0, 60.0, 40.0)
+    assert plane_color(gyr, [0.0, 1.0], [0.0, 1.0]).tolist() == [[20.0, -60.0, 40.0],
+                                                                [80.0, 60.0, 40.0]]
     cgr = get_plane("cyan-gray-red")
-    assert plane_color(cgr, 0.25, 0.5) == LabColor(50.0, -22.5, -22.5)
+    assert plane_color(cgr, 0.25, 0.5).tolist() == [50.0, -22.5, -22.5]
 
 
 def test_plane_color_rejects_out_of_square():
@@ -88,6 +86,9 @@ def test_plane_color_rejects_out_of_square():
         plane_color(gyr, 1.2, 0.5)
     with pytest.raises(ValueError, match="unit square"):
         plane_color(gyr, 0.5, -0.1)
+    # elementwise: one bad entry of an array fails, and NaN is outside
+    with pytest.raises(ValueError, match=r"unit square, got \(0.5, nan\)"):
+        plane_color(gyr, [0.2, 0.5], [0.3, np.nan])
 
 
 def test_get_plane_unknown_name_lists_builtins():
@@ -139,38 +140,35 @@ def test_plane_rejects_bad_ranges():
 # conversion
 
 def test_lab_to_srgb_white_and_black():
-    white = lab_to_srgb(LabColor(100.0, 0.0, 0.0))
-    assert max(abs(c - 1.0) for c in white) <= 1e-9
-    black = lab_to_srgb(LabColor(0.0, 0.0, 0.0))
-    assert max(abs(c) for c in black) <= 1e-12
-    assert rgb_to_hex(white) == "#FFFFFF"
-    assert rgb_to_hex(black) == "#000000"
+    white, black = lab_to_srgb([[100.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.abs(white - 1.0).max() <= 1e-9
+    assert np.abs(black).max() <= 1e-12
+    assert hex_colors(np.array([white, black])) == ["#FFFFFF", "#000000"]
 
 
 def test_lab_to_srgb_mid_gray_matches_oracle():
-    got = lab_to_srgb(LabColor(53.389, 0.0, 0.0))
+    got = lab_to_srgb([53.389, 0.0, 0.0])
     expected = oracle_lab_to_rgb(53.389, 0.0, 0.0)
-    for g, e in zip(got, expected):
-        assert abs(g - e) <= 2e-4  # oracle uses coarser published constants
-        assert abs(g - 0.5) <= 0.002
+    assert got.shape == (3,)
+    assert np.abs(got - expected).max() <= 2e-4  # oracle uses coarser published constants
+    assert np.abs(got - 0.5).max() <= 0.002
 
 
 def test_lab_to_srgb_matches_oracle_on_random_colors():
     rng = np.random.default_rng(0)
     checked = 0
     while checked < 50:
-        lab = LabColor(rng.uniform(5, 95), rng.uniform(-60, 60), rng.uniform(-60, 60))
+        lab = np.array([rng.uniform(5, 95), rng.uniform(-60, 60), rng.uniform(-60, 60)])
         if not in_gamut(lab, 0.0):
             continue
-        got = lab_to_srgb(lab)
-        expected = oracle_lab_to_rgb(*lab)
-        assert max(abs(g - e) for g, e in zip(got, expected)) <= 2e-4
+        expected = oracle_lab_to_rgb(*lab.tolist())
+        assert np.abs(lab_to_srgb(lab) - expected).max() <= 2e-4
         checked += 1
 
 
 def test_in_gamut_examples():
-    assert in_gamut(LabColor(50.0, 0.0, 0.0), 0.0)
-    assert not in_gamut(LabColor(50.0, -200.0, 0.0), 0.002)
+    assert in_gamut([[50.0, 0.0, 0.0], [50.0, -200.0, 0.0]], 0.002).tolist() == [True, False]
+    assert in_gamut([50.0, 0.0, 0.0], 0.0)
     # oracle agrees the green channel overflows wildly
     assert min(oracle_lab_to_rgb(50.0, -200.0, 0.0)) < -0.1
 
@@ -179,7 +177,7 @@ def test_roundtrip_delta_e_small():
     rng = np.random.default_rng(1)
     checked = 0
     while checked < 200:
-        lab = LabColor(rng.uniform(0, 100), rng.uniform(-100, 100), rng.uniform(-100, 100))
+        lab = np.array([rng.uniform(0, 100), rng.uniform(-100, 100), rng.uniform(-100, 100)])
         if not in_gamut(lab, 0.0):
             continue
         back = srgb_to_lab(lab_to_srgb(lab))
@@ -191,27 +189,29 @@ def test_plane_monotonicity_in_u_and_v():
     for plane in builtin_planes():
         v_grid = np.linspace(0.0, 1.0, 11)
         for u in (0.0, 0.3, 1.0):
-            lightness = [plane_color(plane, u, v).L for v in v_grid]
+            lightness = plane_color(plane, u, v_grid)[:, 0]
             assert np.all(np.diff(lightness) > 0.0)
         u_grid = np.linspace(0.0, 1.0, 11)
         for v in (0.0, 0.5, 1.0):
-            hues = [plane_color(plane, u, v).a for u in u_grid]
+            hues = plane_color(plane, u_grid, v)[:, 1]
             assert np.all(np.diff(hues) > 0.0)
 
 
 def test_cyan_gray_red_midline_has_zero_chroma():
     cgr = get_plane("cyan-gray-red")
-    for v in np.linspace(0.0, 1.0, 9):
-        c = plane_color(cgr, 0.5, float(v))
-        assert math.hypot(c.a, c.b) == 0.0
+    c = plane_color(cgr, 0.5, np.linspace(0.0, 1.0, 9))
+    assert np.all(np.hypot(c[:, 1], c[:, 2]) == 0.0)
 
 
 def test_delta_e_is_lab_euclidean_identity():
     plane = get_plane("cyan-gray-red")
     c1 = plane_color(plane, 0.2, 0.8)
     c2 = plane_color(plane, 0.9, 0.1)
-    manual = math.sqrt((c1.L - c2.L) ** 2 + (c1.a - c2.a) ** 2 + (c1.b - c2.b) ** 2)
+    manual = math.sqrt((c1[0] - c2[0]) ** 2 + (c1[1] - c2[1]) ** 2 + (c1[2] - c2[2]) ** 2)
     assert delta_e(c1, c2) == manual
+    # many pairs at once: each the same float as alone
+    pairs = delta_e(np.array([c1, c2, c1]), np.array([c2, c1, c1]))
+    assert pairs.tolist() == [manual, manual, 0.0]
 
 
 # ----------------------------------------------------------------------------
@@ -223,18 +223,18 @@ def test_colorize_constant_coordinates_yield_one_color():
     colors = colorize(coords, cgr)
     assert isinstance(colors, np.ndarray) and colors.shape == (10, 3)
     assert len(set(map(tuple, colors.tolist()))) == 1
-    mid = lab_to_srgb(LabColor(50.0, 0.0, 0.0))
-    assert max(abs(a - b) for a, b in zip(colors[0], mid)) <= 1e-12
+    mid = lab_to_srgb([50.0, 0.0, 0.0])
+    assert np.abs(colors[0] - mid).max() <= 1e-12
 
 
 def test_colorize_hue_extremes_land_in_opposite_half_planes():
     gyr = get_plane("green-yellow-red")
     for v in (0.2, 0.5, 0.8):
-        green = plane_color(gyr, 0.0, v)
-        red = plane_color(gyr, 1.0, v)
-        assert math.atan2(green.b, green.a) > math.pi / 2  # green half
-        assert math.atan2(red.b, red.a) < math.pi / 2  # red half
-        assert green.a < 0 < red.a
+        _, green_a, green_b = plane_color(gyr, 0.0, v)
+        _, red_a, red_b = plane_color(gyr, 1.0, v)
+        assert math.atan2(green_b, green_a) > math.pi / 2  # green half
+        assert math.atan2(red_b, red_a) < math.pi / 2  # red half
+        assert green_a < 0 < red_a
 
 
 def test_colorize_deterministic(iris_std):
@@ -251,8 +251,8 @@ def test_colorize_deterministic(iris_std):
 def test_scalar_colors_equal_colorize_rows_bitwise(plane):
     uv = np.random.default_rng(7).uniform(0.0, 1.0, size=(3000, 2))
     rows = colorize(uv, plane).tolist()
-    scalar = [tuple(lab_to_srgb(plane_color(plane, u, v))) for u, v in uv.tolist()]
-    assert scalar == [tuple(row) for row in rows]
+    scalar = [lab_to_srgb(plane_color(plane, u, v)).tolist() for u, v in uv.tolist()]
+    assert scalar == rows
 
 
 def test_colorize_rejects_out_of_square():
@@ -271,11 +271,10 @@ def test_colorize_rejects_nan_coordinates(rows, where):
 
 
 def test_rgb_to_hex_rounds_half_up():
-    assert rgb_to_hex(RgbColor(0.0, 0.0, 0.0)) == "#000000"
-    assert rgb_to_hex(RgbColor(1.0, 1.0, 1.0)) == "#FFFFFF"
-    assert rgb_to_hex(RgbColor(0.5, 0.0, 1.0)) == "#8000FF"
-    # 127.5/255 rounds up to 128, not banker's 128/127 ambiguity
-    assert rgb_to_hex(RgbColor(127.5 / 255.0, 0.0, 0.0)) == "#800000"
+    rgb = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.0, 1.0],
+                    # 127.5/255 rounds up to 128, not banker's 128/127 ambiguity
+                    [127.5 / 255.0, 0.0, 0.0]])
+    assert hex_colors(rgb) == ["#000000", "#FFFFFF", "#8000FF", "#800000"]
 
 
 def test_hex_colors_matches_per_channel_formula():
@@ -287,7 +286,7 @@ def test_hex_colors_matches_per_channel_formula():
     rgb = np.column_stack([x, x[::-1], np.roll(x, 1)])
     expected = [f"#{chan(r):02X}{chan(g):02X}{chan(b):02X}" for r, g, b in rgb.tolist()]
     assert hex_colors(rgb) == expected
-    assert [rgb_to_hex(RgbColor(*row)) for row in rgb.tolist()] == expected
+    assert [hex_colors(row[None])[0] for row in rgb] == expected
 
 
 @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 4)), np.array([[np.nan, 0.0, 0.0]])])
@@ -296,9 +295,18 @@ def test_hex_colors_rejects_non_mx3_or_non_finite(bad):
         hex_colors(bad)
 
 
+@pytest.mark.parametrize("rgb, row", [
+    ([[-0.1, 0.0, 0.5]], "row 0 is \\[-0.1, 0.0, 0.5\\]"),  # not "#-190080"
+    ([[0.2, 0.3, 0.4], [0.5, 1.0 + 1e-9, 0.5]], "row 1 is "),  # not "FF" silently
+])
+def test_hex_colors_rejects_channels_outside_0_1(rgb, row):
+    with pytest.raises(ValueError, match=f"channels must lie in \\[0, 1\\]; {row}"):
+        hex_colors(np.array(rgb))
+
+
 def test_hex_to_rgb_roundtrip():
-    assert hex_to_rgb("#8000FF") == RgbColor(128 / 255.0, 0.0, 1.0)
-    assert rgb_to_hex(hex_to_rgb("#1A2B3C")) == "#1A2B3C"
+    assert hex_to_rgb("#8000FF").tolist() == [128 / 255.0, 0.0, 1.0]
+    assert hex_colors(hex_to_rgb("#1A2B3C")[None]) == ["#1A2B3C"]
     # int(..., 16) takes each of these pairs; the parser must not
     for text in ("white", "#-1-1-1", "# 1 1 1", "#+F+F+F", "#\u0661\u0662\u0663\u0664\u0665\u0666"):
         with pytest.raises(ValueError, match="RRGGBB"):
@@ -320,3 +328,18 @@ def test_check_plane_gamut_reports_worst_sample():
     assert not ok
     assert worst > 0.002
     assert u in (0.0, 1.0)  # extremes of the hue axis violate first
+
+
+def test_in_gamut_and_check_plane_gamut_share_the_boundary(monkeypatch):
+    # a channel of exactly 1.002 exceeds [0, 1] by 1.002 - 1.0, which is a
+    # hair above 0.002; both tests read that one excess, so they agree
+    def encoded(lab):
+        enc = np.full(np.shape(lab), 0.5)
+        enc[..., 0] = 1.002
+        return enc
+
+    monkeypatch.setattr("somchroma.colorspace._lab_to_encoded_rgb", encoded)
+    plane = get_plane("cyan-gray-red")
+    ok, _, worst = check_plane_gamut(plane, tolerance=0.002)
+    assert worst == _gamut_excess(np.zeros(3)) == 1.002 - 1.0
+    assert bool(in_gamut(plane_color(plane, 0.5, 0.5), 0.002)) == ok

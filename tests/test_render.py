@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 
 from somchroma.colorspace import (
-    RgbColor,
     builtin_planes,
     colorize,
     get_plane,
     hex_colors,
     lab_to_srgb,
     plane_color,
-    rgb_to_hex,
 )
 from somchroma.render import (
     Overlay,
@@ -195,7 +193,7 @@ def test_render_som_rejects_color_mismatch():
 
 
 @pytest.mark.parametrize("colors, got", [
-    ([RgbColor(0.5, 0.5, 0.5)] * 4, "got list"),
+    ([(0.5, 0.5, 0.5)] * 4, "got list"),
     (np.full(4, 0.5), r"got \(4,\)"),
     (np.full((4, 4), 0.5), r"got \(4, 4\)"),
 ])
@@ -232,7 +230,7 @@ def test_render_scatter_colors_match_map_colors():
     colors = rng.uniform(0, 1, (42, 3))
     svg = render_scatter_svg(pts, colors, RenderSpec())
     fills = re.findall(r'<circle[^>]*fill="(#[0-9A-F]{6})"', svg)
-    assert fills == [rgb_to_hex(c) for c in colors]
+    assert fills == [hex_colors(c[None])[0] for c in colors]
     assert_within_viewbox(svg)
 
 
@@ -257,8 +255,7 @@ def test_render_swatch_counts_and_corners():
     fills = re.findall(r'<rect[^>]*fill="(#[0-9A-F]{6})"', svg)
     assert len(fills) == 5  # background + 4 swatches
     swatches = fills[1:]
-    dark_cyan = rgb_to_hex(lab_to_srgb(plane_color(cgr, 0.0, 0.0)))
-    light_red = rgb_to_hex(lab_to_srgb(plane_color(cgr, 1.0, 1.0)))
+    dark_cyan, light_red = hex_colors(lab_to_srgb(plane_color(cgr, [0.0, 1.0], [0.0, 1.0])))
     assert dark_cyan in swatches and light_red in swatches
     assert_within_viewbox(svg)
 
