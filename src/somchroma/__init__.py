@@ -11,7 +11,7 @@ from .colorspace import (
     plane_color,
     srgb_to_lab,
 )
-from .dataset import DataMatrix, StandardizationParams, load_csv, standardize, write_csv
+from .dataset import DataMatrix, StandardizationParams, load_csv, standardize
 from .projection import (
     ProjectionConfig,
     ProjectionResult,
@@ -31,7 +31,6 @@ from .som import (
     TrainConfig,
     TrainResult,
     batch_epoch,
-    bmu,
     goodness,
     init_grid,
     quantization_error,

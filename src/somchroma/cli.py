@@ -47,6 +47,7 @@ class PipelineConfig:
 
     Each stage's settings are built from the final config once, by the
     properties below, so the pipeline can check them all before any stage runs.
+    A settings object's fields are the config keys of the same names.
     """
 
     input: str | None = None
@@ -66,7 +67,7 @@ class PipelineConfig:
     tolerance: float = projection.ProjectionConfig.tolerance
     plane: str | dict = "cyan-gray-red"
     swap_axes: bool = False
-    shape: str = render.RenderSpec.unit_shape
+    shape: str = render.RenderSpec.shape
     spacing_fraction: float = render.RenderSpec.spacing_fraction
     background: str = render.RenderSpec.background
     unit_radius_px: float = render.RenderSpec.unit_radius_px
@@ -108,30 +109,21 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return {**asdict(self), "schema_version": SCHEMA_VERSION}
 
+    def _settings(self, cls):
+        """A stage's settings object, each field taken from the config key of its name."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     @functools.cached_property
     def train_config(self) -> som.TrainConfig:
         if self.rows is None or self.cols is None:
             raise ValueError("no grid shape configured (--grid RxC)")
-        tc = som.TrainConfig(
-            epochs=self.epochs,
-            sigma_initial=self.sigma_initial,
-            sigma_final=self.sigma_final,
-            seed=self.seed,
-        )
-        # train's checks, made before anything is written
-        tc.final_sigmas(self.rows, self.cols, self.sigma_candidates)
+        tc = self._settings(som.TrainConfig)
+        tc.final_sigmas(self.rows, self.cols)  # train's checks, made before anything is written
         return tc
 
     @functools.cached_property
     def projection_config(self) -> projection.ProjectionConfig:
-        pc = projection.ProjectionConfig(
-            method=self.method,
-            k_neighbors=self.k_neighbors,
-            repulsion_t=self.repulsion_t,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-            seed=self.seed,
-        )
+        pc = self._settings(projection.ProjectionConfig)
         # the neighbor-count check project would make, made before anything is written
         if pc.k_neighbors is not None and None not in (self.rows, self.cols):
             pc.neighbor_count(self.rows * self.cols)
@@ -143,15 +135,7 @@ class PipelineConfig:
 
     @functools.cached_property
     def render_spec(self) -> render.RenderSpec:
-        return render.RenderSpec(
-            unit_shape=self.shape,
-            spacing_fraction=self.spacing_fraction,
-            background=self.background,
-            unit_radius_px=self.unit_radius_px,
-            label_font_size_px=self.label_font_size_px,
-            marker_radius_px=self.marker_radius_px,
-            marker_map=self.marker_map,
-        )
+        return self._settings(render.RenderSpec)
 
 
 def _finite(value) -> bool:
@@ -323,8 +307,7 @@ def _data_from_payload(payload: dict) -> DataMatrix:
 
 def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
     data = _data_from_payload(std_payload)
-    sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, cfg.train_config,
-                                           cfg.sigma_candidates)
+    sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, cfg.train_config)
     print(f"selected sigma_final={sigma_final}", file=sys.stderr)
     metadata = {
         "epochs": cfg.epochs,
@@ -405,12 +388,9 @@ def stage_render(
 
 def _parse_candidates(text: str) -> list[float]:
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"sigma candidates must be comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ValueError("sigma candidate list is empty")
-    return values
 
 
 # Each option is (flag, add_argument keywords). Every option defaults to None,
@@ -613,7 +593,7 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _check_distinct(paths: dict[str, Path]) -> None:
-    """Reject two output flags naming one file: the later write would replace the earlier."""
+    """Reject two outputs naming one file: the later write would replace the earlier."""
     seen: dict[Path, str] = {}
     for flag, path in paths.items():
         other = seen.setdefault(path.resolve(), flag)
@@ -628,19 +608,19 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             print(json.dumps(cmd_pipeline(cfg), sort_keys=True))
             return 0
-        if args.command == "swatch":
-            svg = _run("swatch", lambda: render.render_plane_swatch_svg(
-                cfg.color_plane, args.steps_u, args.steps_v, cfg.render_spec))
-            outputs = {Path(args.out_path or "swatch.svg"): svg}
-        else:
-            stage = {s.name: s for s in STAGES}[args.command]
-            paths = {flag: Path(getattr(args, _dest(flag)) or name) for flag, name, _ in stage.writes}
-            _check_distinct(paths)
+        stage = {s.name: s for s in STAGES}.get(args.command)  # None for swatch
+        writes = stage.writes if stage is not None else (("--out", "swatch.svg", "swatch SVG"),)
+        paths = {flag: Path(getattr(args, _dest(flag)) or name) for flag, name, _ in writes}
+        first = next(iter(paths.values()))
+        manifest = first.with_name(first.name + ".manifest.json")
+        _check_distinct({**paths, "the manifest": manifest})  # before any input is read
+        if stage is not None:
             inputs = [_load_payload(getattr(args, _dest(flag))) for flag, _ in stage.reads]
             results = _run_stage(stage, inputs, cfg)
-            outputs = dict(zip(paths.values(), results))
-        first = next(iter(outputs))
-        _commit(first.with_name(first.name + ".manifest.json"), cfg, outputs)
+        else:
+            results = (_run("swatch", lambda: render.render_plane_swatch_svg(
+                cfg.color_plane, args.steps_u, args.steps_v, cfg.render_spec)),)
+        _commit(manifest, cfg, dict(zip(paths.values(), results)))
         return 0
     except StageError as exc:
         print(str(exc), file=sys.stderr)

@@ -271,19 +271,16 @@ def hex_to_rgb(text: str) -> np.ndarray:
     return np.array([int(text[i:i + 2], 16) for i in (1, 3, 5)]) / 255.0
 
 
-def check_plane_gamut(
-    plane: ColorPlane,
-    tolerance: float = GAMUT_TOLERANCE,
-    steps: int = GAMUT_SWEEP_STEPS,
-) -> tuple[bool, tuple[float, float], float]:
-    """Sweep a steps x steps (u, v) grid and report the worst gamut excess.
+def check_plane_gamut(plane: ColorPlane) -> tuple[bool, tuple[float, float], float]:
+    """Sweep a (u, v) grid, GAMUT_SWEEP_STEPS a side, and report the worst gamut excess.
 
-    Returns (ok, worst (u, v), worst excess beyond [0, 1]). Used to vet
-    custom planes from config before they are accepted.
+    Returns (ok, worst (u, v), worst excess beyond [0, 1]), ok when that
+    excess is at most GAMUT_TOLERANCE. Used to vet custom planes from config
+    before they are accepted.
     """
-    u = v = np.linspace(0.0, 1.0, steps)
+    u = v = np.linspace(0.0, 1.0, GAMUT_SWEEP_STEPS)
     uu, vv = np.meshgrid(u, v, indexing="ij")
     excess = _gamut_excess(_plane_lab(plane, uu, vv))
     i, j = np.unravel_index(np.argmax(excess), excess.shape)
     worst = float(excess[i, j])
-    return worst <= tolerance, (float(u[i]), float(v[j])), worst
+    return worst <= GAMUT_TOLERANCE, (float(u[i]), float(v[j])), worst

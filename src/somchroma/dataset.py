@@ -21,7 +21,6 @@ __all__ = [
     "DataMatrix",
     "StandardizationParams",
     "load_csv",
-    "write_csv",
     "standardize",
 ]
 
@@ -194,30 +193,6 @@ def load_csv(
         row_labels=row_labels,
         class_labels=class_labels,
     )
-
-
-def write_csv(data: DataMatrix, path) -> None:
-    """Write a DataMatrix back to CSV at full decimal precision.
-
-    Row labels go to a leading "label" column and class tags to a trailing
-    "class" column when present, so load_csv(write_csv(d)) reproduces d.
-    """
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = list(data.column_names)
-        if data.row_labels is not None:
-            header = ["label"] + header
-        if data.class_labels is not None:
-            header = header + ["class"]
-        writer.writerow(header)
-        for r in range(data.n_rows):
-            row = [repr(float(v)) for v in data.values[r]]
-            if data.row_labels is not None:
-                row = [data.row_labels[r]] + row
-            if data.class_labels is not None:
-                row = row + [data.class_labels[r]]
-            writer.writerow(row)
 
 
 def standardize(data: DataMatrix) -> tuple[DataMatrix, StandardizationParams]:

@@ -38,7 +38,7 @@ _SCATTER_CANVAS = 480.0
 class RenderSpec:
     """Geometry and styling for SVG output."""
 
-    unit_shape: str = "circle"
+    shape: str = "circle"
     spacing_fraction: float = 0.15
     background: str = "#FFFFFF"
     unit_radius_px: float = 18.0
@@ -49,8 +49,8 @@ class RenderSpec:
     def __post_init__(self):
         hex_to_rgb(self.background)  # raises unless #RRGGBB
         object.__setattr__(self, "background", self.background.upper())
-        if self.unit_shape not in ("circle", "hexagon"):
-            raise ValueError(f"unit_shape must be circle or hexagon, got {self.unit_shape!r}")
+        if self.shape not in ("circle", "hexagon"):
+            raise ValueError(f"shape must be circle or hexagon, got {self.shape!r}")
         if not 0.0 <= self.spacing_fraction < 0.5:
             raise ValueError(
                 f"spacing_fraction must be in [0, 0.5), got {self.spacing_fraction}"
@@ -197,7 +197,7 @@ def render_som_svg(grid: SomGrid, colors: np.ndarray, overlay: Overlay, spec: Re
     marker_map = spec.marker_map if spec.marker_map is not None else assign_markers(overlay.all_tags())
 
     body = [
-        _unit_shape_element(spec.unit_shape, cx, cy, r, fill) for (cx, cy), fill in zip(centers, fills)
+        _unit_shape_element(spec.shape, cx, cy, r, fill) for (cx, cy), fill in zip(centers, fills)
     ]
     for k in sorted(overlay.markers):
         tags = sorted(overlay.markers[k])

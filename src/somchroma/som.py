@@ -11,7 +11,6 @@ best and second-best units.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "TrainResult",
     "hex_positions",
     "init_grid",
-    "bmu",
     "bmu_indices",
     "batch_epoch",
     "sigma_schedule",
@@ -92,12 +90,14 @@ class TrainConfig:
 
     sigma_initial defaults to max(rows, cols)/2 and sigma_final to
     min(1, sigma_initial); both are resolved against the grid shape at
-    training time. final_sigmas says which final sigmas apply.
+    training time. sigma_candidates, kept ascending without repeats, are
+    the final sigmas select_sigma tries. final_sigmas says which apply.
     """
 
     epochs: int = 40
     sigma_initial: float | None = None
     sigma_final: float | None = None
+    sigma_candidates: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -109,6 +109,19 @@ class TrainConfig:
             sigma = getattr(self, name)
             if sigma is not None and not (sigma > 0):  # negated, so that NaN fails too
                 raise ValueError(f"{name} must be positive, got {sigma}")
+        if self.sigma_candidates is not None:
+            cands = tuple(sorted(set(map(float, self.sigma_candidates))))
+            object.__setattr__(self, "sigma_candidates", cands)
+            if not cands:
+                raise ValueError("sigma_candidates must be non-empty")
+            if self.sigma_final is not None:
+                raise ValueError(f"sigma_final {self.sigma_final} is fixed, so sigma_candidates "
+                                 f"{list(cands)} would never be tried")
+        if self.epochs == 1:
+            for name in ("sigma_final", "sigma_candidates"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"one epoch trains with sigma_initial alone, so {name} "
+                                     f"{getattr(self, name)} would never be used")
 
     def resolved_initial(self, rows: int, cols: int) -> float:
         si = self.sigma_initial if self.sigma_initial is not None else max(rows, cols) / 2.0
@@ -121,40 +134,34 @@ class TrainConfig:
             raise ValueError(f"need 0 < sigma_final <= sigma_initial, got {sf} > {si}")
         return si, float(sf)
 
-    def final_sigmas(
-        self, rows: int, cols: int, candidates: Iterable[float] | None
-    ) -> tuple[float, ...]:
+    def final_sigmas(self, rows: int, cols: int) -> tuple[float, ...]:
         """The final sigmas a rows x cols map is trained with, ascending and checked.
 
-        One when sigma_final is set, which then takes no candidates. Otherwise
-        the ones to choose from (final sigmas tried with sigma_initial fixed):
-        `candidates` without repeats, or the defaults up to sigma_initial. A
-        grid needs at least 2 units, as goodness, the projection and the
-        coloring do, and each final sigma's schedule must be one
-        sigma_schedule accepts.
+        sigma_initial alone at one epoch, and sigma_final alone when it is
+        set. Otherwise the ones to choose from (final sigmas tried with
+        sigma_initial fixed): sigma_candidates, or the defaults up to
+        sigma_initial. A grid needs at least 2 units, as goodness, the
+        projection and the coloring do, and each final sigma's schedule must
+        be one sigma_schedule accepts.
         """
         if rows < 1 or cols < 1:
             raise ValueError("grid must have at least one row and one column")
         if rows * cols < 2:
             raise ValueError(f"grid {rows}x{cols} has 1 unit; a map needs at least 2")
         si = self.resolved_initial(rows, cols)
-        if self.sigma_final is not None:
-            if candidates is not None:
-                raise ValueError(f"sigma_final {self.sigma_final} is fixed, so sigma_candidates "
-                                 f"{list(candidates)} would never be tried")
+        if self.epochs == 1:
+            cands = (si,)
+        elif self.sigma_final is not None:
             cands = (self.resolved_sigmas(rows, cols)[1],)
-        elif candidates is None:
+        elif self.sigma_candidates is None:
             cands = tuple(s for s in DEFAULT_SIGMA_CANDIDATES if s <= si)
             if not cands:
                 raise ValueError(f"no default sigma candidate fits sigma_initial={si}")
         else:
-            cands = tuple(float(s) for s in candidates)
-            if not cands:
-                raise ValueError("sigma_candidates must be non-empty")
+            cands = self.sigma_candidates
             for s in cands:
                 if not (0.0 < s <= si):
                     raise ValueError(f"sigma candidate {s} outside (0, sigma_initial={si}]")
-            cands = tuple(sorted(set(cands)))
         for s in cands:
             sigma_schedule(si, s, self.epochs)
         return cands
@@ -231,14 +238,6 @@ def init_grid(rows: int, cols: int, data: DataMatrix, seed: int = 0) -> SomGrid:
         + np.outer(t2 * spans[1], axes[1])
     )
     return SomGrid(rows, cols, vectors)
-
-
-def bmu(x: np.ndarray, grid: SomGrid) -> int:
-    """Index of the nearest reference vector; ties go to the lowest index."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (grid.dim,):
-        raise ValueError(f"vector of dimension {x.shape} against grid of dim {grid.dim}")
-    return int(bmu_indices(x[None, :], grid)[0])
 
 
 def bmu_indices(values: np.ndarray, grid: SomGrid) -> np.ndarray:
@@ -486,6 +485,9 @@ def train(data: DataMatrix, rows: int, cols: int, config: TrainConfig) -> TrainR
     The result is bit for bit the one select_sigma gives for the same final
     sigma.
     """
+    if config.sigma_candidates is not None:
+        raise ValueError(f"train takes no sigma_candidates {list(config.sigma_candidates)}; "
+                         "select_sigma chooses among them")
     sf = config.resolved_sigmas(rows, cols)[1]
     return _train_schedules(data, rows, cols, config, (sf,))[0]
 
@@ -614,23 +616,16 @@ def goodness(grid: SomGrid, data: DataMatrix) -> float:
 
 
 def select_sigma(
-    data: DataMatrix,
-    rows: int,
-    cols: int,
-    config: TrainConfig,
-    candidates: Iterable[float] | None = None,
+    data: DataMatrix, rows: int, cols: int, config: TrainConfig
 ) -> tuple[float, TrainResult, float]:
     """Train one SOM per final sigma of config.final_sigmas and keep the best map.
 
-    `candidates` are the final sigmas to choose from (the defaults if None);
-    a config that sets sigma_final trains that one alone and takes no
-    candidates. Returns the sigma
-    minimizing goodness together with its trained result and its goodness;
-    goodness ties within 1e-12 resolve to the smaller sigma. The candidates
-    share their first epoch (_train_schedules); each result is bit for bit
-    train's for that final sigma.
+    Returns the sigma minimizing goodness together with its trained result
+    and its goodness; goodness ties within 1e-12 resolve to the smaller
+    sigma. The candidates share their first epoch (_train_schedules); each
+    result is bit for bit train's for that final sigma.
     """
-    finals = config.final_sigmas(rows, cols, candidates)
+    finals = config.final_sigmas(rows, cols)
     results = [
         (sf, result, goodness(result.grid, data))
         for sf, result in zip(finals, _train_schedules(data, rows, cols, config, finals))

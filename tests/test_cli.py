@@ -273,6 +273,20 @@ def test_render_rejects_two_outputs_naming_one_file(stage_inputs, tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+def test_render_rejects_an_output_its_manifest_would_replace(stage_inputs, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_load_payload", lambda path: pytest.fail("an input was read"))
+    monkeypatch.setattr(cli, "stage_render", lambda *args: pytest.fail("stage render ran"))
+    argv = stage_argv("render", stage_inputs, tmp_path)
+    argv[argv.index("--out-som") + 1] = "a.svg"
+    argv[argv.index("--out-scatter") + 1] = "a.svg.manifest.json"
+    assert cli.main(argv) == 1
+    assert ("--out-scatter and the manifest both name a.svg.manifest.json"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _set_first_rgb(value):
     def edit(payload):
         payload["rgb"][0] = value
@@ -422,10 +436,13 @@ def file_bytes(directory):
     ({"method": "mds", "repulsion_t": 0.5}, "project"),
     ({"sigma_final": 1.0, "sigma_candidates": [0.4, 0.7]}, "train"),
     ({"seed": -1}, "train"),
+    ({"epochs": 1, "sigma_final": 0.2}, "train"),
+    ({"epochs": 1, "sigma_candidates": [0.4]}, "train"),
 ], ids=["plane", "tolerance", "shape", "epochs", "grid-0x3", "grid-1x1",
         "sigma-final-above-initial", "sigma-candidate-above-initial", "sigma-candidates-empty",
         "background-signed", "lmds-k-0", "lmds-k-all-units", "sammon-k", "mds-repulsion",
-        "sigma-final-with-candidates", "negative-seed"])
+        "sigma-final-with-candidates", "negative-seed", "one-epoch-sigma-final",
+        "one-epoch-sigma-candidates"])
 def test_bad_setting_fails_before_any_write(tmp_path, iris_path, capsys, setting, stage,
                                             earlier_run):
     out = tmp_path / "out"
@@ -731,6 +748,24 @@ def test_auto_sigma_train_stage_calls_goodness_once_per_candidate(iris_path, mon
     assert len(calls) == 3
     grid, metadata = som.grid_from_dict(payload)
     assert metadata["goodness"] == real_goodness(grid, cli._data_from_payload(std_payload))
+
+
+def test_one_epoch_train_stage_trains_one_map_with_sigma_initial(iris_path, monkeypatch, capsys):
+    cfg = cli.PipelineConfig(input=str(iris_path), class_column="species", rows=6, cols=7,
+                             epochs=1)
+    std_payload = cli.stage_ingest(cfg)
+    real_goodness = som.goodness
+    calls = []
+
+    def counting_goodness(grid, data):
+        calls.append(grid.m)
+        return real_goodness(grid, data)
+
+    monkeypatch.setattr(som, "goodness", counting_goodness)
+    payload = cli.stage_train(std_payload, cfg)
+    assert calls == [42]
+    assert "selected sigma_final=3.5" in capsys.readouterr().err
+    assert payload["training_metadata"]["sigma_schedule"] == (3.5,)
 
 
 def write_blobs_csv(path, seed, n_rows, n_cols, n_clusters=8):

@@ -340,6 +340,6 @@ def test_in_gamut_and_check_plane_gamut_share_the_boundary(monkeypatch):
 
     monkeypatch.setattr("somchroma.colorspace._lab_to_encoded_rgb", encoded)
     plane = get_plane("cyan-gray-red")
-    ok, _, worst = check_plane_gamut(plane, tolerance=0.002)
+    ok, _, worst = check_plane_gamut(plane)
     assert worst == _gamut_excess(np.zeros(3)) == 1.002 - 1.0
     assert bool(in_gamut(plane_color(plane, 0.5, 0.5), 0.002)) == ok

