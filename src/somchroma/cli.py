@@ -335,7 +335,7 @@ def stage_color(embedding_payload: dict, cfg: PipelineConfig) -> dict:
     colors = colorspace.colorize(coords, plane)
     return {
         **envelope("unit_colors"),
-        "plane": colorspace.plane_to_dict(plane),
+        "plane": asdict(plane),
         "swap_axes": bool(cfg.swap_axes),
         "unit_coords": coords,
         "rgb": colors,
@@ -614,6 +614,9 @@ def main(argv=None) -> int:
         first = next(iter(paths.values()))
         manifest = first.with_name(first.name + ".manifest.json")
         _check_distinct({**paths, "the manifest": manifest})  # before any input is read
+        settings = (stage.settings,) if stage is not None else ("color_plane", "render_spec")
+        for name in filter(None, settings):  # built as the pipeline builds them, before any read
+            _run(args.command, getattr, cfg, name)
         if stage is not None:
             inputs = [_load_payload(getattr(args, _dest(flag))) for flag, _ in stage.reads]
             results = _run_stage(stage, inputs, cfg)

@@ -14,8 +14,10 @@ under the sRGB matrix, which makes L*=100 map to exact display white.
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +26,6 @@ __all__ = [
     "builtin_planes",
     "get_plane",
     "plane_from_dict",
-    "plane_to_dict",
     "plane_color",
     "lab_to_srgb",
     "srgb_to_lab",
@@ -61,7 +62,8 @@ class ColorPlane:
     """2D subspace of CIELAB over the unit square.
 
     b_rule is either a constant b* value or the string "a", meaning b* tracks
-    a* (a diagonal line in the a*b* plane).
+    a* (a diagonal line in the a*b* plane). Each range is a [lo, hi] pair of
+    finite numbers, held as floats. This is the one check of a plane.
     """
 
     name: str
@@ -70,14 +72,31 @@ class ColorPlane:
     b_rule: float | str
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"plane.name must be a string, got {self.name!r}")
+        for key in ("L_range", "a_range"):
+            value = getattr(self, key)
+            if not (isinstance(value, (list, tuple)) and len(value) == 2
+                    and all(map(_is_finite_number, value))):
+                raise ValueError(
+                    f"plane.{key} must be a [lo, hi] pair of finite numbers, got {value!r}"
+                )
+            object.__setattr__(self, key, (float(value[0]), float(value[1])))
         lo, hi = self.L_range
         if not (0.0 <= lo < hi <= 100.0):
-            raise ValueError(f"L_range must satisfy 0 <= lo < hi <= 100, got {self.L_range}")
-        if isinstance(self.b_rule, str):
-            if self.b_rule != "a":
-                raise ValueError(f'b_rule must be a number or "a", got {self.b_rule!r}')
-        else:
+            raise ValueError(f"plane.L_range must satisfy 0 <= lo < hi <= 100, got {self.L_range}")
+        if _is_finite_number(self.b_rule):
             object.__setattr__(self, "b_rule", float(self.b_rule))
+        elif not (isinstance(self.b_rule, str) and self.b_rule == "a"):
+            raise ValueError(f'plane.b_rule must be a finite number or "a", got {self.b_rule!r}')
+
+
+def _is_finite_number(x) -> bool:
+    """Whether x is a real number, not a bool, that a float holds finitely."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def builtin_planes() -> list[ColorPlane]:
@@ -96,42 +115,12 @@ def get_plane(name: str) -> ColorPlane:
     raise ValueError(f"unknown color plane {name!r}; built-in planes: {known}")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _range_field(payload: dict, key: str) -> tuple[float, float]:
-    value = payload[key]
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(_is_number(x) for x in value)
-    ):
-        raise ValueError(f"plane.{key} must be a [lo, hi] pair of numbers, got {value!r}")
-    return float(value[0]), float(value[1])
-
-
 def plane_from_dict(payload: dict) -> ColorPlane:
-    """Build a plane from config ({name, L_range, a_range, b_rule})."""
+    """Build a plane from config ({name, L_range, a_range, b_rule}); ColorPlane checks it."""
     try:
-        name, b_rule = payload["name"], payload["b_rule"]
-        L_range, a_range = _range_field(payload, "L_range"), _range_field(payload, "a_range")
+        return ColorPlane(**{f.name: payload[f.name] for f in fields(ColorPlane)})
     except KeyError as exc:
         raise ValueError(f"plane definition missing key {exc}") from None
-    if not isinstance(name, str):
-        raise ValueError(f"plane.name must be a string, got {name!r}")
-    if not (b_rule == "a" or _is_number(b_rule)):
-        raise ValueError(f'plane.b_rule must be a number or "a", got {b_rule!r}')
-    return ColorPlane(name, L_range, a_range, b_rule)
-
-
-def plane_to_dict(plane: ColorPlane) -> dict:
-    return {
-        "name": plane.name,
-        "L_range": list(plane.L_range),
-        "a_range": list(plane.a_range),
-        "b_rule": plane.b_rule,
-    }
 
 
 def _plane_lab(plane: ColorPlane, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -69,9 +69,9 @@ class ProjectionConfig:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # negated comparisons, so that NaN fails too
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+        # a positive tolerance is below inf, and NaN fails every comparison
+        if not (0 < self.tolerance < math.inf):
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.repulsion_t is not None and not (0 <= self.repulsion_t < math.inf):
             raise ValueError(f"repulsion_t must be finite and nonnegative, got {self.repulsion_t}")
         if self.method != "lmds":
@@ -435,8 +435,8 @@ def align_axes(y: np.ndarray) -> np.ndarray:
 
     Output dimension 1 carries maximal variance; each output dimension is
     sign-flipped if needed so its maximum-absolute coordinate is positive.
-    An isotropic cloud (eigenvalue gap within 1e-12) keeps the identity
-    rotation.
+    An isotropic cloud (eigenvalue gap within 1e-12 of the total variance)
+    keeps the identity rotation, at any scale.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[1] != 2 or y.shape[0] < 2:
@@ -446,7 +446,7 @@ def align_axes(y: np.ndarray) -> np.ndarray:
     b = float(np.mean(z[:, 1] * z[:, 1]))
     c = float(np.mean(z[:, 0] * z[:, 1]))
     gap = 2.0 * math.hypot(0.5 * (a - b), c)  # lambda_max - lambda_min
-    if gap <= 1e-12:
+    if gap <= 1e-12 * (a + b):
         out = y.copy()
     else:
         theta = 0.5 * math.atan2(2.0 * c, a - b)

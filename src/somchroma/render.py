@@ -9,6 +9,7 @@ element order and fixed 3-decimal coordinate formatting.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,9 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 _SCATTER_CANVAS = 480.0
 
+# characters outside XML 1.0's Char production; kept uncompiled, so import pays nothing
+_NOT_XML_CHAR = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
 
 @dataclass(frozen=True)
 class RenderSpec:
@@ -55,10 +59,10 @@ class RenderSpec:
             raise ValueError(
                 f"spacing_fraction must be in [0, 0.5), got {self.spacing_fraction}"
             )
-        # negated comparisons, so that NaN fails too
-        if not (self.unit_radius_px > 0 and self.label_font_size_px > 0):
+        # a positive size is below inf, and NaN fails every comparison
+        if not (0 < self.unit_radius_px < math.inf and 0 < self.label_font_size_px < math.inf):
             raise ValueError("unit_radius_px and label_font_size_px must be positive")
-        if self.marker_radius_px is not None and not (self.marker_radius_px > 0):
+        if self.marker_radius_px is not None and not (0 < self.marker_radius_px < math.inf):
             raise ValueError(f"marker_radius_px must be positive, got {self.marker_radius_px}")
         if self.marker_map is not None:
             for tag, shape in self.marker_map.items():
@@ -210,6 +214,8 @@ def render_som_svg(grid: SomGrid, colors: np.ndarray, overlay: Overlay, spec: Re
         cx, cy = centers[k]
         texts = overlay.labels[k]
         for i, text in enumerate(texts):
+            if re.search(_NOT_XML_CHAR, text):
+                raise ValueError(f"unit {k} label {text!r} holds a character XML cannot hold")
             y = cy - r - 4.0 - (len(texts) - 1 - i) * fs
             # html.escape(text, quote=False), without importing html's entity tables
             text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

@@ -107,7 +107,7 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("sigma_initial", "sigma_final"):
             sigma = getattr(self, name)
-            if sigma is not None and not (sigma > 0):  # negated, so that NaN fails too
+            if sigma is not None and not (0 < sigma < math.inf):  # NaN fails too
                 raise ValueError(f"{name} must be positive, got {sigma}")
         if self.sigma_candidates is not None:
             cands = tuple(sorted(set(map(float, self.sigma_candidates))))

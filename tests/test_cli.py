@@ -465,6 +465,43 @@ def test_swatch_checks_the_full_render_settings(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, setting, message", [
+    ("train", {"epochs": 0, "rows": 3, "cols": 3}, "epochs must be >= 1, got 0"),
+    ("project", {"tolerance": 0}, "tolerance must be positive"),
+    ("color", {"plane": {"name": "x", "L_range": 5, "a_range": [-1, 1], "b_rule": 0}},
+     "plane.L_range must be a [lo, hi] pair"),
+    ("render", {"shape": "square"}, "shape must be circle or hexagon"),
+], ids=["train", "project", "color", "render"])
+def test_stage_command_checks_its_settings_before_reading_input(tmp_path, capsys, command,
+                                                                setting, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(setting))
+    out = tmp_path / "out"
+    stage = next(s for s in cli.STAGES if s.name == command)
+    args = [command, "--config", str(cfg_path)]
+    for flag, name in stage.reads:  # every input is missing
+        args += [flag, str(tmp_path / "missing" / name)]
+    for flag, name, _ in stage.writes:
+        args += [flag, str(out / name)]
+    assert cli.main(args) == 1
+    assert f"error in stage {command}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_label_xml_cannot_hold_fails_before_any_write(tmp_path, capsys):
+    rows = [["name", "x", "y"]] + [[f"row{i}", str(i % 5), str(i * i % 7)] for i in range(12)]
+    rows[4][0] = "a\x01b"
+    csv_path = tmp_path / "labels.csv"
+    csv_path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--input", str(csv_path), "--label-column", "name",
+                     "--grid", "3x3", "--epochs", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error in stage render: unit " in err
+    assert "label 'a\\x01b' holds a character XML cannot hold" in err
+    assert not out.exists()
+
+
 def test_failed_write_keeps_old_artifact_and_drops_stage_manifest(pipeline_dir, tmp_path,
                                                                   monkeypatch, capsys):
     out = tmp_path / "colors.json"

@@ -136,6 +136,29 @@ def test_plane_rejects_bad_ranges():
         ColorPlane("bad", (20.0, 80.0), (-10.0, 10.0), "b")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("name", 5), ("L_range", (30.0, math.nan)), ("L_range", [30, math.inf]),
+    ("L_range", (False, 80)), ("a_range", (-20.0, 10**400)), ("a_range", "ab"),
+    ("b_rule", True), ("b_rule", math.nan), ("b_rule", -math.inf), ("b_rule", "b"),
+], ids=["name-int", "L-nan", "L-inf", "L-bool", "a-huge-int", "a-str", "b-bool", "b-nan",
+        "b-inf", "b-letter"])
+def test_plane_checks_each_field_as_config_does(key, value):
+    fields = {"name": "custom", "L_range": (30, 70), "a_range": (-20, 20), "b_rule": 10}
+    with pytest.raises(ValueError, match=rf"^plane\.{key} must be a"):
+        ColorPlane(**{**fields, key: value})
+
+
+def test_plane_holds_its_ranges_as_tuples_of_floats():
+    plane = ColorPlane("custom", [30, 70], [-20, 20], 10)
+    assert plane == ColorPlane("custom", (30.0, 70.0), (-20.0, 20.0), 10.0)
+    assert all(type(x) is float for x in (*plane.L_range, *plane.a_range, plane.b_rule))
+
+
+def test_plane_from_dict_names_a_missing_key():
+    with pytest.raises(ValueError, match="^plane definition missing key 'a_range'$"):
+        plane_from_dict({"name": "custom", "L_range": [30, 70], "b_rule": 10})
+
+
 # ----------------------------------------------------------------------------
 # conversion
 

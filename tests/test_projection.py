@@ -420,6 +420,7 @@ def test_project_stress_equals_public_stress_bitwise(method):
 
 @pytest.mark.parametrize("name, value", [
     pytest.param("tolerance", float("nan"), id="tolerance"),
+    pytest.param("tolerance", float("inf"), id="tolerance-inf"),
     pytest.param("repulsion_t", float("nan"), id="repulsion_t"),
     pytest.param("repulsion_t", float("inf"), id="repulsion_t-inf"),
 ])
@@ -531,6 +532,13 @@ def test_align_axes_diagonalizes_covariance():
     cov = z.T @ z / (len(z) - 1)
     assert abs(cov[0, 1]) <= 1e-10
     assert cov[0, 0] >= cov[1, 1]
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e9])
+def test_align_axes_rotates_a_cloud_alike_at_any_scale(scale):
+    rng = np.random.default_rng(15)
+    y = rng.standard_normal((40, 2)) @ np.array([[2.0, 0.7], [0.3, 0.5]])
+    assert np.allclose(align_axes(scale * y) / scale, align_axes(y), rtol=1e-9, atol=1e-9)
 
 
 def test_normalize_components_examples():

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ElementTree
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def test_render_som_labels_above_units():
     assert_within_viewbox(svg)
 
 
-@pytest.mark.parametrize("radius", [-5.0, 0.0])
+@pytest.mark.parametrize("radius", [-5.0, 0.0, math.inf])
 def test_render_spec_rejects_non_positive_marker_radius(radius):
     with pytest.raises(ValueError, match=f"marker_radius_px must be positive, got {radius}"):
         RenderSpec(marker_radius_px=radius)
@@ -184,6 +185,19 @@ def test_render_spec_rejects_non_positive_marker_radius(radius):
 def test_render_spec_rejects_nan(name):
     with pytest.raises(ValueError, match=name):
         RenderSpec(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("name", ["unit_radius_px", "label_font_size_px"])
+def test_render_spec_rejects_an_infinite_size(name):
+    with pytest.raises(ValueError, match=name):
+        RenderSpec(**{name: math.inf})
+
+
+@pytest.mark.parametrize("label", ["a\x01b", "tab\tok\x7f\x0b", "\ufffe", "\ud800"])
+def test_render_som_rejects_a_label_xml_cannot_hold(label):
+    overlay = Overlay(labels={2: ["fine", label]})
+    with pytest.raises(ValueError, match=re.escape(f"unit 2 label {label!r} holds a character")):
+        render_som_svg(make_grid(2, 2), gray_colors(4), overlay, RenderSpec())
 
 
 def test_render_som_rejects_color_mismatch():
@@ -347,3 +361,10 @@ GOLDEN_SVGS = {
 def test_renderers_keep_their_golden_bytes(name):
     render, digest = GOLDEN_SVGS[name]
     assert hashlib.sha256(render().encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", GOLDEN_SVGS)
+def test_every_svg_writer_gives_well_formed_xml(name):
+    # the golden inputs cover all three writers, labels (escaped) and all marker shapes
+    root = ElementTree.fromstring(GOLDEN_SVGS[name][0]().encode("utf-8"))
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"

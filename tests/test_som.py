@@ -1186,9 +1186,12 @@ def test_final_sigmas(config, rows, cols, expected):
     (dict(sigma_initial=0.5, sigma_final=2.0), 3, 3, "need 0 < sigma_final"),
     (dict(sigma_initial=-1.0), 6, 7, "sigma_initial must be positive, got -1.0"),
     (dict(sigma_initial=float("nan")), 6, 7, "sigma_initial must be positive, got nan"),
+    (dict(sigma_initial=math.inf), 6, 7, "^sigma_initial must be positive, got inf$"),
     (dict(sigma_final=-1.0), 6, 7, "sigma_final must be positive, got -1.0"),
     (dict(sigma_final=0.0), 6, 7, "sigma_final must be positive, got 0.0"),
     (dict(sigma_final=float("nan")), 6, 7, "sigma_final must be positive, got nan"),
+    (dict(sigma_final=math.inf), 6, 7, "^sigma_final must be positive, got inf$"),
+    (dict(sigma_candidates=(0.5, math.inf)), 6, 7, r"sigma candidate inf outside \(0, "),
     (dict(), 0, 3, "grid must have at least one row and one column"),
     (dict(sigma_final=0.5), 3, 0, "grid must have at least one row and one column"),
     (dict(), 1, 1, "grid 1x1 has 1 unit; a map needs at least 2"),
@@ -1202,7 +1205,8 @@ def test_final_sigmas(config, rows, cols, expected):
     (dict(epochs=1, sigma_candidates=(0.7, 0.4)), 6, 7,
      r"so sigma_candidates \(0.4, 0.7\) would never be used"),
 ], ids=["empty", "out-of-range", "zero", "no-default-fits", "final-above-initial",
-        "initial-negative", "initial-nan", "final-negative", "final-zero", "final-nan",
+        "initial-negative", "initial-nan", "initial-inf", "final-negative", "final-zero",
+        "final-nan", "final-inf", "candidate-inf",
         "grid-0x3", "grid-3x0", "one-unit", "one-unit-over-candidates", "one-unit-fixed",
         "fixed-over-candidates", "seed-negative", "one-epoch-final", "one-epoch-candidates"])
 def test_final_sigmas_rejects(settings, rows, cols, message):
