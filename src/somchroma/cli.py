@@ -1,7 +1,10 @@
 """Command-line pipeline: ingest -> train -> project -> color -> render.
 
 Each stage reads and writes schema-versioned JSON artifacts, so the pipeline
-command and stage-wise execution produce byte-identical outputs. All
+command and stage-wise execution produce byte-identical outputs. This module
+is the only one that knows the artifact format: each payload's writer (a
+stage_* function) and reader (a *_from_payload function) live here, and the
+library modules take and return plain arrays and dataclasses. All
 pseudo-randomness flows from a single seed; progress goes to stderr and the
 final metrics line (quantization error, goodness, final stress) to stdout.
 Every run writes a manifest with the resolved config and artifact checksums.
@@ -28,11 +31,12 @@ import numpy as np
 from . import colorspace, projection, render, som
 from .colorspace import ColorPlane
 from .dataset import DataMatrix, load_csv, standardize
-from .envelope import SCHEMA_VERSION, check_envelope, envelope, finite_matrix, string_list
 
 __all__ = ["PipelineConfig", "cmd_pipeline", "main"]
 
 CONFIG_ENV_VAR = "SOMCHROMA_CONFIG"
+
+SCHEMA_VERSION = 1
 
 _METHOD_ALIASES = {"mds": "metric_mds", "metric_mds": "metric_mds", "sammon": "sammon", "lmds": "lmds"}
 
@@ -123,11 +127,7 @@ class PipelineConfig:
 
     @functools.cached_property
     def projection_config(self) -> projection.ProjectionConfig:
-        pc = self._settings(projection.ProjectionConfig)
-        # the neighbor-count check project would make, made before anything is written
-        if pc.k_neighbors is not None and None not in (self.rows, self.cols):
-            pc.neighbor_count(self.rows * self.cols)
-        return pc
+        return self._settings(projection.ProjectionConfig)
 
     @functools.cached_property
     def color_plane(self) -> ColorPlane:
@@ -252,9 +252,18 @@ def _write_json(path: Path, payload: dict) -> str:
     return _write(path, functools.partial(_dump_json, payload))
 
 
+def _read_json(path):
+    """The JSON value in a UTF-8 file; text that is not one raises a ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path} is not UTF-8 JSON: {exc}") from None
+
+
 def _load_payload(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """An artifact a stage command reads; config files are read apart, by _merge_config."""
+    return _read_json(path)
 
 
 def _resolve_plane(plane_cfg) -> ColorPlane:
@@ -268,6 +277,71 @@ def _resolve_plane(plane_cfg) -> ColorPlane:
             f"worst excess {excess:.4f} at (u, v) = ({worst_uv[0]:.2f}, {worst_uv[1]:.2f})"
         )
     return plane
+
+
+# ----------------------------------------------------------------------------
+# the payload envelope and its field readers
+#
+# Every payload starts from envelope(kind). The one reader of each kind calls
+# check_envelope before it reads any other field, and reads its fields with
+# field, finite_matrix and string_list, whose errors name the field as
+# <kind>.<key>. An array field holds a numpy array when the payload comes
+# straight from its stage, and a list when it was read back from JSON; the
+# readers take either.
+
+def envelope(kind: str) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": kind}
+
+
+def check_envelope(payload: dict, kind: str) -> None:
+    """Raise ValueError unless ``payload`` is a ``kind`` payload of this schema version."""
+    found = payload if isinstance(payload, dict) else {}  # any JSON value can arrive
+    if found.get("kind") != kind or found.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(
+            f"schema version mismatch: expected {kind} v{SCHEMA_VERSION}, got "
+            f"kind={found.get('kind')!r} schema_version={found.get('schema_version')!r}"
+        )
+
+
+def field(payload: dict, kind: str, key: str):
+    """``payload[key]``; a missing key raises a ValueError naming ``<kind>.<key>``."""
+    if key not in payload:
+        raise ValueError(f"{kind}.{key} is missing")
+    return payload[key]
+
+
+def finite_matrix(payload: dict, kind: str, key: str, width: int) -> np.ndarray:
+    """``payload[key]`` as a finite M x ``width`` float array."""
+    name = f"{kind}.{key}"
+    raw = field(payload, kind, key)
+    try:
+        values = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an Mx{width} array of numbers") from None
+    if values.ndim != 2 or values.shape[1] != width:
+        raise ValueError(f"{name} must be an Mx{width} array, got shape {values.shape}")
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{name} must be finite; row {bad[0]} is {values[bad[0]].tolist()}")
+    return values
+
+
+def string_list(payload: dict, kind: str, key: str, optional: bool = False) -> list[str] | None:
+    """``payload[key]`` as a list of strings; an ``optional`` field may also be null or missing."""
+    if optional and payload.get(key) is None:
+        return None
+    value = field(payload, kind, key)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{kind}.{key} must be a list of strings")
+    return value
+
+
+def integer(payload: dict, kind: str, key: str) -> int:
+    """``payload[key]`` as a JSON integer; a bool, float or string is rejected."""
+    value = field(payload, kind, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{kind}.{key} must be an integer, got {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------------------
@@ -309,25 +383,62 @@ def stage_train(std_payload: dict, cfg: PipelineConfig) -> dict:
     data = _data_from_payload(std_payload)
     sigma_final, result, g = som.select_sigma(data, cfg.rows, cfg.cols, cfg.train_config)
     print(f"selected sigma_final={sigma_final}", file=sys.stderr)
-    metadata = {
-        "epochs": cfg.epochs,
-        "sigma_schedule": result.sigmas,
-        "seed": cfg.seed,
-        "goodness": g,
-        "quantization_error": result.quantization_errors[-1],
+    grid = result.grid
+    return {  # unit positions are implied by rows and cols
+        **envelope("som_grid"),
+        "rows": grid.rows,
+        "cols": grid.cols,
+        "dim": grid.dim,
+        "reference_vectors": grid.reference_vectors,
+        "training_metadata": {
+            "epochs": cfg.epochs,
+            "sigma_schedule": result.sigmas,
+            "seed": cfg.seed,
+            "goodness": g,
+            "quantization_error": result.quantization_errors[-1],
+        },
     }
-    return som.grid_to_dict(result.grid, metadata)
+
+
+def _grid_from_payload(payload: dict) -> som.SomGrid:
+    check_envelope(payload, "som_grid")
+    rows, cols, dim = (integer(payload, "som_grid", key) for key in ("rows", "cols", "dim"))
+    vectors = finite_matrix(payload, "som_grid", "reference_vectors", dim)
+    if rows * cols != len(vectors):
+        raise ValueError(
+            f"som_grid.rows x som_grid.cols is {rows}x{cols} = {rows * cols} units, "
+            f"but som_grid.reference_vectors has {len(vectors)}"
+        )
+    return som.SomGrid(rows, cols, vectors)
 
 
 def stage_project(grid_payload: dict, cfg: PipelineConfig) -> dict:
-    grid, _ = som.grid_from_dict(grid_payload)
+    grid = _grid_from_payload(grid_payload)
     pc = cfg.projection_config
     result = projection.project(grid.reference_vectors, pc)
-    return projection.embedding_to_dict(result, pc)
+    return {
+        **envelope("embedding"),
+        "method": result.method,
+        "config": {
+            "k_neighbors": result.k_neighbors,
+            "repulsion_t": result.repulsion_t,
+            "max_iterations": pc.max_iterations,
+            "tolerance": pc.tolerance,
+            "seed": pc.seed,
+        },
+        "points": result.points,
+        "final_stress": result.stress,
+        "iterations": result.iterations,
+    }
+
+
+def _points_from_payload(payload: dict) -> np.ndarray:
+    check_envelope(payload, "embedding")
+    return finite_matrix(payload, "embedding", "points", 2)
 
 
 def stage_color(embedding_payload: dict, cfg: PipelineConfig) -> dict:
-    points = projection.embedding_from_dict(embedding_payload)
+    points = _points_from_payload(embedding_payload)
     plane = cfg.color_plane
     coords = projection.normalize_components(projection.align_axes(points))
     if cfg.swap_axes:
@@ -361,12 +472,12 @@ def stage_render(
     colors_payload: dict,
     cfg: PipelineConfig,
 ) -> tuple[str, str]:
-    grid, _ = som.grid_from_dict(grid_payload)
-    points = projection.embedding_from_dict(embedding_payload)
+    grid = _grid_from_payload(grid_payload)
+    points = _points_from_payload(embedding_payload)
     colors = _colors_from_payload(colors_payload)
-    for field, count in (("embedding.points", len(points)), ("unit_colors.rgb", len(colors))):
+    for name, count in (("embedding.points", len(points)), ("unit_colors.rgb", len(colors))):
         if count != grid.m:
-            raise ValueError(f"{field} has {count} entries for a grid of {grid.m} units")
+            raise ValueError(f"{name} has {count} entries for a grid of {grid.m} units")
     data = _data_from_payload(std_payload)
 
     overlay = render.Overlay()
@@ -486,6 +597,8 @@ def cmd_pipeline(cfg: PipelineConfig) -> dict:
     for stage in STAGES:  # build every stage's settings, so a bad one fails before ingest
         if stage.settings:
             _run(stage.name, getattr, cfg, stage.settings)
+    # lmds's k against the grid that gets trained; project checks it again on the grid it reads
+    _run("project", cfg.projection_config.neighbor_count, cfg.rows * cfg.cols)
     outputs: dict[str, dict | str] = {}
     for stage in STAGES:
         results = _run_stage(stage, [outputs[name] for _, name in stage.reads], cfg)
@@ -577,8 +690,7 @@ def _merge_config(args: argparse.Namespace) -> PipelineConfig:
     payload = {}
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(config_path)
     cfg = PipelineConfig.from_dict(payload)
 
     # every flag whose dest is a config field overrides it; --grid sets two

@@ -117,8 +117,12 @@ def get_plane(name: str) -> ColorPlane:
 
 def plane_from_dict(payload: dict) -> ColorPlane:
     """Build a plane from config ({name, L_range, a_range, b_rule}); ColorPlane checks it."""
+    names = [f.name for f in fields(ColorPlane)]
+    unknown = set(payload) - set(names)
+    if unknown:
+        raise ValueError(f"unknown plane keys: {sorted(unknown)}")
     try:
-        return ColorPlane(**{f.name: payload[f.name] for f in fields(ColorPlane)})
+        return ColorPlane(**{name: payload[name] for name in names})
     except KeyError as exc:
         raise ValueError(f"plane definition missing key {exc}") from None
 

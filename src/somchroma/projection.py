@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import check_envelope, envelope, finite_matrix
-
 __all__ = [
     "ProjectionConfig",
     "ProjectionResult",
@@ -34,8 +32,6 @@ __all__ = [
     "project",
     "align_axes",
     "normalize_components",
-    "embedding_to_dict",
-    "embedding_from_dict",
 ]
 
 METHODS = ("metric_mds", "sammon", "lmds")
@@ -473,27 +469,3 @@ def normalize_components(y: np.ndarray) -> np.ndarray:
         else:
             out[:, d] = (y[:, d] - lo) / (hi - lo)
     return out
-
-
-def embedding_to_dict(result: ProjectionResult, config: ProjectionConfig) -> dict:
-    """Embedding payload with a config echo, its points kept as an array."""
-    return {
-        **envelope("embedding"),
-        "method": result.method,
-        "config": {
-            "k_neighbors": result.k_neighbors,
-            "repulsion_t": result.repulsion_t,
-            "max_iterations": config.max_iterations,
-            "tolerance": config.tolerance,
-            "seed": config.seed,
-        },
-        "points": result.points,
-        "final_stress": result.stress,
-        "iterations": result.iterations,
-    }
-
-
-def embedding_from_dict(payload: dict) -> np.ndarray:
-    """Points from an embedding payload; checks the envelope and a finite Mx2 shape."""
-    check_envelope(payload, "embedding")
-    return finite_matrix(payload, "embedding", "points", 2)

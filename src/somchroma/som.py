@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataMatrix
-from .envelope import check_envelope, envelope, field, finite_matrix
 
 __all__ = [
     "DEFAULT_SIGMA_CANDIDATES",
@@ -32,8 +31,6 @@ __all__ = [
     "quantization_error",
     "goodness",
     "select_sigma",
-    "grid_to_dict",
-    "grid_from_dict",
 ]
 
 DEFAULT_SIGMA_CANDIDATES = (0.4, 0.7, 1.0, 1.5, 2.0)
@@ -632,36 +629,3 @@ def select_sigma(
     ]
     best_g = min(g for _, _, g in results)
     return next(r for r in results if r[2] <= best_g + 1e-12)  # ascending: smallest sigma wins
-
-
-def grid_to_dict(grid: SomGrid, training_metadata: dict) -> dict:
-    """Grid payload, reference vectors as an array (positions are implied by rows/cols)."""
-    return {
-        **envelope("som_grid"),
-        "rows": grid.rows,
-        "cols": grid.cols,
-        "dim": grid.dim,
-        "reference_vectors": grid.reference_vectors,
-        "training_metadata": training_metadata,
-    }
-
-
-def _integer_field(payload: dict, key: str) -> int:
-    """A grid size field; only a JSON integer (not a bool, float or string) is taken."""
-    value = field(payload, "som_grid", key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"som_grid.{key} must be an integer, got {value!r}")
-    return value
-
-
-def grid_from_dict(payload: dict) -> tuple[SomGrid, dict]:
-    """Inverse of grid_to_dict; validates the schema envelope."""
-    check_envelope(payload, "som_grid")
-    rows, cols, dim = (_integer_field(payload, k) for k in ("rows", "cols", "dim"))
-    vectors = finite_matrix(payload, "som_grid", "reference_vectors", dim)
-    if rows * cols != len(vectors):
-        raise ValueError(
-            f"som_grid.rows x som_grid.cols is {rows}x{cols} = {rows * cols} units, "
-            f"but som_grid.reference_vectors has {len(vectors)}"
-        )
-    return SomGrid(rows, cols, vectors), dict(payload.get("training_metadata", {}))

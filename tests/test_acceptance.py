@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from somchroma import cli, som
-from somchroma.cli import _data_from_payload
+from somchroma.cli import _data_from_payload, _grid_from_payload
 from somchroma.colorspace import (
     _gamut_excess,
     builtin_planes,
@@ -74,7 +74,7 @@ def iris_run(tmp_path_factory, iris_path):
 def test_criterion_01_iris_setosa_separation(iris_run):
     out, elapsed = iris_run
     data = _data_from_payload(json.loads((out / "standardized.json").read_text()))
-    grid, _ = som.grid_from_dict(json.loads((out / "grid.json").read_text()))
+    grid = _grid_from_payload(json.loads((out / "grid.json").read_text()))
     points = np.asarray(json.loads((out / "embedding.json").read_text())["points"])
 
     bmus = som.bmu_indices(data.values, grid)

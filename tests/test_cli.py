@@ -381,6 +381,47 @@ def test_optional_label_fields_may_be_null_or_missing(stage_inputs, tmp_path, ed
     assert cli.main(stage_argv("render", inputs, tmp_path)) == 0
 
 
+def test_grid_payload_roundtrip(iris_path):
+    cfg = cli.PipelineConfig(input=str(iris_path), class_column="species", rows=3, cols=4,
+                             epochs=2)
+    payload = cli.stage_train(cli.stage_ingest(cfg), cfg)
+    back = cli._grid_from_payload(json.loads(cli.canonical_json(payload)))
+    assert np.array_equal(back.reference_vectors, payload["reference_vectors"])
+    assert back.rows == 3 and back.cols == 4
+
+
+def test_grid_from_payload_rejects_wrong_schema():
+    with pytest.raises(ValueError, match="schema version mismatch"):
+        cli._grid_from_payload({"kind": "som_grid", "schema_version": 2})
+
+
+def test_grid_from_payload_rejects_a_json_array():
+    with pytest.raises(ValueError, match="got kind=None schema_version=None"):
+        cli._grid_from_payload([])
+
+
+@pytest.mark.parametrize("command", ["project", "render"])
+def test_grid_training_metadata_of_any_json_type_is_not_read(stage_inputs, tmp_path, command):
+    inputs = edited_inputs(stage_inputs, "grid.json", _set("training_metadata", [1, 2]), tmp_path)
+    assert cli.main(stage_argv(command, inputs, tmp_path / "edited")) == 0
+    assert cli.main(stage_argv(command, stage_inputs, tmp_path / "as-written")) == 0
+    assert file_bytes(tmp_path / "edited") == file_bytes(tmp_path / "as-written")
+
+
+@pytest.mark.parametrize("fields", [
+    {"points": [[0.0, 1.0], [float("nan"), 0.5]]},
+    {"points": [[0.0, 1.0], [0.5, float("inf")]]},
+    {"points": [[0.0, 1.0, 2.0], [0.5, 0.5, 0.5]]},
+    {"points": [[0.0, 1.0], [0.5]]},
+    {"points": []},
+    {"points": [["a", "b"]]},
+    {},
+])
+def test_points_from_payload_rejects_bad_points(fields):
+    with pytest.raises(ValueError, match=r"embedding\.points"):
+        cli._points_from_payload({"kind": "embedding", "schema_version": 1, **fields})
+
+
 def test_failed_run_leaves_no_stale_manifest(tmp_path, iris_path, capsys):
     out = tmp_path / "out"
     args = base_args(iris_path, out)
@@ -561,6 +602,22 @@ def test_missing_input_artifact(tmp_path, capsys):
                      "--out", str(tmp_path / "g.json")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b"{", b'{"epochs": 3,}', b'{"epochs": "\xff"}'],
+                         ids=["truncated", "trailing-comma", "not-utf8"])
+@pytest.mark.parametrize("read", ["artifact", "config"])
+def test_malformed_json_input_is_named(tmp_path, capsys, text, read):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    out = tmp_path / "out"
+    argv = {"artifact": ["train", "--in", str(bad), "--grid", "3x3",
+                         "--out", str(out / "grid.json")],
+            "config": ["pipeline", "--config", str(bad), "--input", str(tmp_path / "x.csv"),
+                       "--grid", "3x3", "--out", str(out)]}[read]
+    assert cli.main(argv) == 1
+    assert f"error: {bad} is not UTF-8 JSON: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_and_env_var(tmp_path, iris_path, monkeypatch):
@@ -753,6 +810,16 @@ def test_project_stage_lmds(pipeline_dir, tmp_path):
     assert payload["config"]["k_neighbors"] >= 1
 
 
+def test_project_checks_k_against_the_grid_it_reads_not_the_config(pipeline_dir, tmp_path):
+    # the config's grid shape is the one a pipeline would train; project reads a 4x4 grid
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"rows": 3, "cols": 3}))
+    argv = ["project", "--in", str(pipeline_dir / "grid.json"), "--method", "lmds", "--k", "12"]
+    assert cli.main(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    assert cli.main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+
 def test_swatch_command(tmp_path):
     out = tmp_path / "swatch.svg"
     assert cli.main(["swatch", "--plane", "green-yellow-red",
@@ -783,8 +850,9 @@ def test_auto_sigma_train_stage_calls_goodness_once_per_candidate(iris_path, mon
     monkeypatch.setattr(som, "goodness", counting_goodness)
     payload = cli.stage_train(std_payload, cfg)
     assert len(calls) == 3
-    grid, metadata = som.grid_from_dict(payload)
-    assert metadata["goodness"] == real_goodness(grid, cli._data_from_payload(std_payload))
+    grid = cli._grid_from_payload(payload)
+    assert (payload["training_metadata"]["goodness"]
+            == real_goodness(grid, cli._data_from_payload(std_payload)))
 
 
 def test_one_epoch_train_stage_trains_one_map_with_sigma_initial(iris_path, monkeypatch, capsys):

@@ -159,6 +159,13 @@ def test_plane_from_dict_names_a_missing_key():
         plane_from_dict({"name": "custom", "L_range": [30, 70], "b_rule": 10})
 
 
+def test_plane_from_dict_names_unknown_keys():
+    payload = {"name": "x", "L_range": [35, 75], "a_range": [-20, 20], "b_rule": 10,
+               "b_rulee": 99, "L-range": [0, 1]}
+    with pytest.raises(ValueError, match=r"^unknown plane keys: \['L-range', 'b_rulee'\]$"):
+        plane_from_dict(payload)
+
+
 # ----------------------------------------------------------------------------
 # conversion
 

@@ -13,7 +13,6 @@ from somchroma.projection import (
     ProjectionConfig,
     align_axes,
     classical_scaling,
-    embedding_from_dict,
     knn_pairs,
     lmds_stress,
     mds_stress,
@@ -569,20 +568,6 @@ def test_unit_coords_invariant_under_rigid_motion():
             assert {int(np.argmax(base[:, d])), int(np.argmin(base[:, d]))} == {
                 int(np.argmax(other[:, d])), int(np.argmin(other[:, d]))
             }
-
-
-@pytest.mark.parametrize("fields", [
-    {"points": [[0.0, 1.0], [float("nan"), 0.5]]},
-    {"points": [[0.0, 1.0], [0.5, float("inf")]]},
-    {"points": [[0.0, 1.0, 2.0], [0.5, 0.5, 0.5]]},
-    {"points": [[0.0, 1.0], [0.5]]},
-    {"points": []},
-    {"points": [["a", "b"]]},
-    {},
-])
-def test_embedding_from_dict_rejects_bad_points(fields):
-    with pytest.raises(ValueError, match=r"embedding\.points"):
-        embedding_from_dict({"kind": "embedding", "schema_version": 1, **fields})
 
 
 # ----------------------------------------------------------------------------

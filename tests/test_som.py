@@ -17,8 +17,6 @@ from somchroma.som import (
     batch_epoch,
     bmu_indices,
     goodness,
-    grid_from_dict,
-    grid_to_dict,
     hex_positions,
     init_grid,
     quantization_error,
@@ -1219,25 +1217,3 @@ def test_train_rejects_sigma_candidates(iris_std, monkeypatch):
     with pytest.raises(ValueError, match=r"train takes no sigma_candidates \[0.5, 0.8\]; "
                                          "select_sigma chooses among them"):
         train(iris_std, 3, 3, TrainConfig(epochs=2, sigma_candidates=(0.8, 0.5)))
-
-
-# ----------------------------------------------------------------------------
-# serialization
-
-def test_grid_dict_roundtrip(iris_std):
-    grid = train(iris_std, 3, 4, TrainConfig(epochs=2, seed=0)).grid
-    payload = grid_to_dict(grid, {"epochs": 2})
-    back, meta = grid_from_dict(payload)
-    assert np.array_equal(back.reference_vectors, grid.reference_vectors)
-    assert back.rows == grid.rows and back.cols == grid.cols
-    assert meta == {"epochs": 2}
-
-
-def test_grid_from_dict_rejects_wrong_schema():
-    with pytest.raises(ValueError, match="schema version mismatch"):
-        grid_from_dict({"kind": "som_grid", "schema_version": 2})
-
-
-def test_grid_from_dict_rejects_a_json_array():
-    with pytest.raises(ValueError, match="got kind=None schema_version=None"):
-        grid_from_dict([])
