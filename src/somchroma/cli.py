@@ -163,52 +163,63 @@ def _fits(value, hint) -> bool:
 
 
 _WRITE_SLICE = 2**16  # characters of an artifact written, or bytes read back, at a time
+_BLOCK = _WRITE_SLICE // 32  # array elements made into text at a time
 
 
-class _Rows(list):
-    """An array of two or more dimensions as the JSON encoder sees it: a list of its rows.
+def _dump_value(value, write: Callable[[str], object], pad: str) -> None:
+    """Write json.dumps(value, sort_keys=True, indent=2), numpy arrays as lists.
 
-    The list itself stays empty: its length is the array's, and iterating it
-    yields one row view at a time. So a row exists only while it is written,
-    where list(array) would hold a view of every row, about 120 bytes each,
-    for the whole write.
+    pad is the newline and indent of value's line. A float or int array of one
+    or two dimensions is formatted _BLOCK numbers at a time, as json formats
+    them; an array of more dimensions goes a row at a time, and any other
+    array as its list form. Scalars go through json.dumps, so np.int64 or a set
+    raises TypeError, as does a dict key that is not a str.
     """
-
-    def __init__(self, array: np.ndarray):
-        super().__init__()
-        self.array = array
-
-    def __len__(self):
-        return len(self.array)
-
-    def __iter__(self):
-        return iter(self.array)
-
-
-def _json_default(value):
-    """An array in the form json writes: its rows, or for one dimension or none, tolist."""
-    if not isinstance(value, np.ndarray):  # np.int64, a set: no JSON form
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return _Rows(value) if value.ndim > 1 else value.tolist()
+    inner = pad + "  "
+    if isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.dtype.kind in "fiu":
+        number = float.__repr__ if value.dtype.kind == "f" else int.__repr__
+        row_pad = inner + "  "
+        cell = "," + row_pad
+        step = max(1, _BLOCK // max(1, math.prod(value.shape[1:])))
+        for start in range(0, len(value), step):
+            block = value[start:start + step]
+            finite = number is int.__repr__ or np.isfinite(block).all()
+            text = number if finite else json.dumps  # NaN and Infinity as json writes them
+            rows = (map(text, block.tolist()) if value.ndim == 1 else
+                    ("[" + row_pad + cell.join(map(text, row)) + inner + "]" if row
+                     else "[]" for row in block.tolist()))
+            write(("," if start else "[") + inner + ("," + inner).join(rows))
+        write(pad + "]" if len(value) else "[]")
+        return
+    if isinstance(value, np.ndarray) and value.ndim < 2:
+        value = value.tolist()
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+        items = ((json.encoder.encode_basestring_ascii(k) + ": ", value[k]) for k in sorted(value))
+        brackets = "{}"
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        items, brackets = (("", item) for item in value), "[]"
+    else:
+        write(json.dumps(value))
+        return
+    for i, (key, item) in enumerate(items):
+        write(("," if i else brackets[0]) + inner + key)
+        _dump_value(item, write, inner)
+    write(pad + brackets[1] if len(value) else brackets)
 
 
 def _dump_json(payload: dict, fh: typing.TextIO) -> None:
-    """Write canonical_json(payload) to fh, one encoder chunk at a time.
-
-    Payloads hold numpy arrays; this is the one place they become JSON lists,
-    one row at a time. Any other object JSON has no form for, such as np.int64
-    or a set, still raises TypeError, from the chunk where it would be written.
-    """
-    json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+    _dump_value(payload, fh.write, "\n")
     fh.write("\n")
 
 
 def canonical_json(payload: dict) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) plus a newline, numpy arrays as lists.
 
-    The artifacts are not written through this string: _write_json dumps the
-    same chunks into the file, so neither the text nor the list form of a
-    payload's arrays is ever held whole.
+    The artifacts are not written through this string: _write_json writes the
+    same text into the file as it is made.
     """
     text = io.StringIO()
     _dump_json(payload, text)
@@ -248,7 +259,7 @@ def _write_artifact(path: Path, content: str) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> str:
-    """Write canonical_json(payload) atomically, one encoder chunk at a time; returns its sha256."""
+    """Write canonical_json(payload) atomically as it is made; returns its sha256."""
     return _write(path, functools.partial(_dump_json, payload))
 
 
